@@ -19,7 +19,6 @@ package cachesim
 
 import (
 	"fmt"
-	"sort"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -257,21 +256,19 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 	res := &HierarchyResult{Config: cfg, Tiers: make([]TierResult, len(cfg.Tiers))}
 	t0 := &res.Tiers[0]
 	t0.Name, t0.Size = cfg.Tiers[0].Name, cfg.Tiers[0].Size
-	var ops []serverOp
 	for _, p := range passes {
 		res.ClientAccesses += p.res.LogicalAccesses
 		t0.Reads += p.res.ReadAccesses
 		t0.Writes += p.res.WriteAccesses
 		t0.ReadMisses += p.res.DiskReads
 		t0.WriteBacks += p.res.DiskWrites
-		ops = append(ops, p.ops...)
 	}
 	t0.Fills = t0.ReadMisses
 	t0.BusyTime = cfg.Tiers[0].ReadLatency*trace.Time(t0.Reads) +
 		cfg.Tiers[0].WriteLatency*trace.Time(t0.Writes+t0.Fills)
 
 	merged := mergeResolved(machineRes, blockBase, cfg.BlockSize, nBlocks, nFiles)
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].time < ops[j].time })
+	ops := mergePasses(passes)
 
 	// Shared cache tiers, top to bottom.
 	for i := 1; i < len(cfg.Tiers)-1; i++ {
@@ -306,7 +303,9 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) +
 			tier.WriteLatency*trace.Time(tr.Writes+tr.Fills)
 		tallyWear(tr, wear, tier.EnduranceWrites)
-		sort.SliceStable(next, func(a, b int) bool { return next[a].time < next[b].time })
+		// A tier's clock never runs backward over time-ordered input,
+		// so its traffic below is already in time order
+		// (TestTierStreamsTimeOrdered).
 		ops = next
 	}
 

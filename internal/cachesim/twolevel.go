@@ -2,7 +2,6 @@ package cachesim
 
 import (
 	"fmt"
-	"sort"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -137,12 +136,48 @@ func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int
 	return p
 }
 
+// mergePasses interleaves the clients' server traffic by time, ties
+// broken in machine order, then emission order (see mergeOps).
+func mergePasses(passes []*clientPass) []serverOp {
+	streams := make([][]serverOp, len(passes))
+	for m, p := range passes {
+		streams[m] = p.ops
+	}
+	return mergeOps(streams)
+}
+
+// mergeOps merges time-ordered streams into one, taking ties from the
+// lowest-numbered stream: the order a stable sort of the concatenated
+// streams by time gives, in one k-way pass. Each client's stream is in
+// time order because the tape's op times are nondecreasing and the
+// client clock never runs backward (TestClientStreamsTimeOrdered).
+func mergeOps(streams [][]serverOp) []serverOp {
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	out := make([]serverOp, 0, total)
+	heads := make([]int, len(streams))
+	for len(out) < total {
+		// The lowest machine among those whose next op is earliest.
+		lead := -1
+		for m, s := range streams {
+			if heads[m] < len(s) && (lead < 0 || s[heads[m]].time < streams[lead][heads[lead]].time) {
+				lead = m
+			}
+		}
+		out = append(out, streams[lead][heads[lead]])
+		heads[lead]++
+	}
+	return out
+}
+
 // TwoLevelSimulateTapes runs one tape per machine through a local
 // write-through client cache and forwards the resulting traffic to a
 // shared server cache. The client passes run on parallel workers; the
-// server replay interleaves their traffic by time, with ties broken in
-// machine order (then emission order), so the result is deterministic
-// regardless of worker scheduling.
+// server replay interleaves their traffic with a k-way merge by time,
+// ties broken in machine order, then emission order (see mergePasses),
+// so the result is deterministic regardless of worker scheduling.
 func TwoLevelSimulateTapes(tapes []*xfer.Tape, cfg TwoLevelConfig) (*TwoLevelResult, error) {
 	if len(tapes) == 0 {
 		return nil, fmt.Errorf("cachesim: two-level simulation needs at least one machine")
@@ -185,12 +220,10 @@ func TwoLevelSimulateTapes(tapes []*xfer.Tape, cfg TwoLevelConfig) (*TwoLevelRes
 	})
 
 	res := &TwoLevelResult{Config: cfg}
-	var ops []serverOp
 	for _, p := range passes {
 		res.ClientAccesses += p.res.LogicalAccesses
 		res.ClientReadMisses += p.res.DiskReads
 		res.WriteForwards += p.res.DiskWrites
-		ops = append(ops, p.ops...)
 	}
 	res.NetworkBlocks = res.ClientReadMisses + res.WriteForwards
 
@@ -200,8 +233,7 @@ func TwoLevelSimulateTapes(tapes []*xfer.Tape, cfg TwoLevelConfig) (*TwoLevelRes
 	// block lists, all in global IDs. Writes arrive with their data (the
 	// client has the block), so a server write miss needs no disk read.
 	srvRes := mergeResolved(machineRes, blockBase, cfg.BlockSize, nBlocks, nFiles)
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].time < ops[j].time })
-	sres := replayServer(ops, srvRes, serverCfg, cfg.OnServerDisk)
+	sres := replayServer(mergePasses(passes), srvRes, serverCfg, cfg.OnServerDisk)
 	res.ServerDiskReads = sres.DiskReads
 	res.ServerDiskWrites = sres.DiskWrites
 	return res, nil

@@ -18,6 +18,8 @@ package ffs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Geometry describes a simulated disk.
@@ -84,21 +86,52 @@ func (f *File) Blocks() (full int, tailFrags int64) {
 	return len(f.blocks), f.tail.count
 }
 
-// group bookkeeping: a stack of (candidate) wholly free blocks with lazy
-// validation, plus the set of partially used blocks whose free fragments
-// can hold tails.
-type group struct {
-	freeStack []int64
-	partial   map[int64]struct{}
+// bitset is a set of block numbers, one bit each.
+type bitset []uint64
+
+func (s bitset) has(i int64) bool { return s[i/64]&(1<<(i%64)) != 0 }
+func (s bitset) set(i int64)      { s[i/64] |= 1 << (i % 64) }
+func (s bitset) clear(i int64)    { s[i/64] &^= 1 << (i % 64) }
+
+// next returns the lowest member in [from, to), or -1.
+func (s bitset) next(from, to int64) int64 {
+	for from < to {
+		if w := s[from/64] >> (from % 64); w != 0 {
+			if i := from + int64(bits.TrailingZeros64(w)); i < to {
+				return i
+			}
+			return -1
+		}
+		from = (from/64 + 1) * 64
+	}
+	return -1
 }
 
-// Disk is the allocator state.
+// maxFragsPer is the FFS limit on fragments per block.
+const maxFragsPer = 8
+
+// group is a cylinder group's search state: its block range and, per
+// free-run class, a low-water mark below which the class holds none of
+// the group's blocks, so searches skip the exhausted prefix. A mark moves
+// down only when a block joins the class below it.
+type group struct {
+	lo, hi int64 // the group's blocks are [lo, hi)
+	mark   [maxFragsPer + 1]int64
+}
+
+// Disk is the allocator state. Blocks are indexed by their longest run of
+// free fragments — FFS keeps the same summary per cylinder group — and
+// every search takes the lowest-numbered fitting block, so placement is a
+// pure function of the operation sequence.
 type Disk struct {
 	geo      Geometry
 	fragsPer int64 // fragments per block
 	bitmap   []uint64
-	used     []int8 // used fragment count per block
-	groups   []group
+	// byRun[r] holds the blocks whose longest free run is r fragments:
+	// byRun[fragsPer] the wholly free blocks, byRun[1..fragsPer-1] the
+	// partially used ones. Full blocks are in no set.
+	byRun  []bitset
+	groups []group
 
 	freeFrags int64
 	dataBytes int64 // logical bytes stored
@@ -117,16 +150,21 @@ func NewDisk(geo Geometry) (*Disk, error) {
 		geo:       geo,
 		fragsPer:  fragsPer,
 		bitmap:    make([]uint64, (totalBlocks*fragsPer+63)/64),
-		used:      make([]int8, totalBlocks),
+		byRun:     make([]bitset, fragsPer+1),
 		groups:    make([]group, geo.Groups),
 		freeFrags: totalBlocks * fragsPer,
 	}
+	for r := int64(1); r <= fragsPer; r++ {
+		d.byRun[r] = make(bitset, (totalBlocks+63)/64)
+	}
+	for b := int64(0); b < totalBlocks; b++ {
+		d.byRun[fragsPer].set(b)
+	}
 	for g := range d.groups {
-		d.groups[g].partial = make(map[int64]struct{})
-		base := int64(g) * int64(geo.BlocksPerGroup)
-		// Push in reverse so low block numbers pop first.
-		for b := int64(geo.BlocksPerGroup) - 1; b >= 0; b-- {
-			d.groups[g].freeStack = append(d.groups[g].freeStack, base+b)
+		lo := int64(g) * int64(geo.BlocksPerGroup)
+		d.groups[g] = group{lo: lo, hi: lo + int64(geo.BlocksPerGroup)}
+		for r := range d.groups[g].mark {
+			d.groups[g].mark[r] = lo
 		}
 	}
 	return d, nil
@@ -146,94 +184,102 @@ func (d *Disk) groupOf(block int64) *group {
 	return &d.groups[block/int64(d.geo.BlocksPerGroup)]
 }
 
-// setRange marks a fragment range used or free and maintains the per-block
-// counters and group indexes.
+// freeMask returns block b's free fragments, one bit each. fragsPer
+// divides 64, so a block's fragments share one bitmap word.
+func (d *Disk) freeMask(b int64) uint64 {
+	start := b * d.fragsPer
+	return ^(d.bitmap[start/64] >> (start % 64)) & (1<<d.fragsPer - 1)
+}
+
+// longestRun returns the length of the longest run of set bits in m.
+func longestRun(m uint64) int64 {
+	n := int64(0)
+	for ; m != 0; n++ {
+		m &= m >> 1
+	}
+	return n
+}
+
+// setRange marks a fragment range, which lies within one block, used or
+// free. The block moves between byRun sets only when its longest free
+// run changes.
 func (d *Disk) setRange(r fragRange, use bool) {
 	block := r.start / d.fragsPer
-	g := d.groupOf(block)
-	wasUsed := d.used[block]
-	for f, end := r.start, r.start+r.count; f < end; {
-		lo := f % 64
-		n := 64 - lo
-		if end-f < n {
-			n = end - f
-		}
-		mask := (^uint64(0) >> (64 - n)) << lo
-		if use {
-			d.bitmap[f/64] |= mask
-		} else {
-			d.bitmap[f/64] &^= mask
-		}
-		f += n
-	}
+	before := longestRun(d.freeMask(block))
+	mask := (uint64(1)<<r.count - 1) << (r.start % 64)
 	if use {
-		d.used[block] += int8(r.count)
+		d.bitmap[r.start/64] |= mask
 		d.freeFrags -= r.count
 	} else {
-		d.used[block] -= int8(r.count)
+		d.bitmap[r.start/64] &^= mask
 		d.freeFrags += r.count
 	}
-	nowUsed := d.used[block]
-	switch {
-	case nowUsed == 0:
-		delete(g.partial, block)
-		if wasUsed != 0 {
-			g.freeStack = append(g.freeStack, block)
+	after := longestRun(d.freeMask(block))
+	if after == before {
+		return
+	}
+	if before > 0 {
+		d.byRun[before].clear(block)
+	}
+	if after > 0 {
+		d.byRun[after].set(block)
+		if g := d.groupOf(block); block < g.mark[after] {
+			g.mark[after] = block
 		}
-	case nowUsed == int8(d.fragsPer):
-		delete(g.partial, block)
-	default:
-		g.partial[block] = struct{}{}
 	}
 }
 
-// popFreeBlock takes a wholly free block, preferring the given group. The
-// free stacks may hold stale entries (a block pushed on free can be taken
-// for a tail later), so entries are validated on pop.
+// lowest returns group g's lowest block whose longest free run is r, or
+// -1, advancing the class's low-water mark past the empty prefix.
+func (d *Disk) lowest(g *group, r int64) int64 {
+	b := d.byRun[r].next(g.mark[r], g.hi)
+	if b < 0 {
+		g.mark[r] = g.hi
+	} else {
+		g.mark[r] = b
+	}
+	return b
+}
+
+// popFreeBlock finds the lowest wholly free block, preferring the given
+// group. The block stays free until the caller marks it used.
 func (d *Disk) popFreeBlock(pref int) (int64, bool) {
 	for gi := 0; gi < d.geo.Groups; gi++ {
-		g := &d.groups[(pref+gi)%d.geo.Groups]
-		for len(g.freeStack) > 0 {
-			b := g.freeStack[len(g.freeStack)-1]
-			g.freeStack = g.freeStack[:len(g.freeStack)-1]
-			if d.used[b] == 0 {
-				return b, true
-			}
+		if b := d.lowest(&d.groups[(pref+gi)%d.geo.Groups], d.fragsPer); b >= 0 {
+			return b, true
 		}
 	}
 	return 0, false
 }
 
-// runInBlock finds a run of n contiguous free fragments inside block b,
-// returning its start or -1.
+// runInBlock finds the first run of n contiguous free fragments inside
+// block b, returning its start or -1.
 func (d *Disk) runInBlock(b, n int64) int64 {
-	start := b * d.fragsPer
-	run, runStart := int64(0), int64(-1)
-	for i := int64(0); i < d.fragsPer; i++ {
-		if d.isFree(start + i) {
-			if runStart < 0 {
-				runStart = start + i
-			}
-			run++
-			if run >= n {
-				return runStart
-			}
-		} else {
-			run, runStart = 0, -1
-		}
+	free := d.freeMask(b)
+	// After the loop, bit i is set iff fragments i..i+n-1 are all free.
+	for i := int64(1); i < n && free != 0; i++ {
+		free &= free >> 1
 	}
-	return -1
+	if free == 0 {
+		return -1
+	}
+	return b*d.fragsPer + int64(bits.TrailingZeros64(free))
 }
 
-// allocTail places n fragments, preferring partially used blocks (so tails
-// pack together, the FFS policy) and falling back to breaking a free block.
+// allocTail places n fragments in the lowest partially used block with a
+// free run that fits, preferring the given group (so tails pack together,
+// the FFS policy), and falls back to breaking a free block.
 func (d *Disk) allocTail(pref int, n int64) (fragRange, bool) {
 	for gi := 0; gi < d.geo.Groups; gi++ {
 		g := &d.groups[(pref+gi)%d.geo.Groups]
-		for b := range g.partial {
-			if s := d.runInBlock(b, n); s >= 0 {
-				return fragRange{start: s, count: n}, true
+		best := int64(-1)
+		for r := n; r < d.fragsPer; r++ {
+			if b := d.lowest(g, r); b >= 0 && (best < 0 || b < best) {
+				best = b
 			}
+		}
+		if best >= 0 {
+			return fragRange{start: d.runInBlock(best, n), count: n}, true
 		}
 	}
 	if b, ok := d.popFreeBlock(pref); ok {
@@ -245,39 +291,88 @@ func (d *Disk) allocTail(pref int, n int64) (fragRange, bool) {
 // Alloc places a file of the given size and returns its footprint.
 // A zero-size file occupies no fragments.
 func (d *Disk) Alloc(size int64) (*File, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("ffs: negative size %d", size)
+	f := &File{}
+	if err := d.resize(f, size); err != nil {
+		return nil, err
 	}
-	f := &File{size: size}
-	fullBlocks := size / d.geo.BlockSize
-	tailBytes := size % d.geo.BlockSize
-	tailFrags := (tailBytes + d.geo.FragSize - 1) / d.geo.FragSize
+	return f, nil
+}
 
-	pref := d.nextGroup
-	d.nextGroup = (d.nextGroup + 1) % d.geo.Groups
+// frags returns the number of fragments a file occupies.
+func (d *Disk) frags(f *File) int64 {
+	return int64(len(f.blocks))*d.fragsPer + f.tail.count
+}
 
-	for i := int64(0); i < fullBlocks; i++ {
+// resize moves a file to a new size in place, as FFS extends and
+// truncates a file: surviving full blocks stay where they are, only the
+// difference is freed or allocated, and the tail is re-placed unless its
+// block count and fragment count are both unchanged. New blocks go to
+// the file's own cylinder group; an empty file takes the next group in
+// rotation. On error the file's space is released entirely and it is
+// left empty — the state freeing it and failing a fresh allocation would
+// leave.
+func (d *Disk) resize(f *File, size int64) error {
+	if size < 0 {
+		d.Free(f)
+		return fmt.Errorf("ffs: negative size %d", size)
+	}
+	full := size / d.geo.BlockSize
+	tailFrags := (size%d.geo.BlockSize + d.geo.FragSize - 1) / d.geo.FragSize
+	oldFrags := d.frags(f)
+
+	var pref int
+	switch {
+	case len(f.blocks) > 0:
+		pref = int(f.blocks[0] / int64(d.geo.BlocksPerGroup))
+	case f.hasTail:
+		pref = int(f.tail.start / d.fragsPer / int64(d.geo.BlocksPerGroup))
+	default:
+		pref = d.nextGroup
+		d.nextGroup = (d.nextGroup + 1) % d.geo.Groups
+	}
+
+	if f.hasTail && (int64(len(f.blocks)) != full || f.tail.count != tailFrags) {
+		d.setRange(f.tail, false)
+		f.tail, f.hasTail = fragRange{}, false
+	}
+	for int64(len(f.blocks)) > full {
+		last := f.blocks[len(f.blocks)-1]
+		f.blocks = f.blocks[:len(f.blocks)-1]
+		d.setRange(fragRange{start: last * d.fragsPer, count: d.fragsPer}, false)
+	}
+	if grow := int(full) - len(f.blocks); grow > 0 {
+		f.blocks = slices.Grow(f.blocks, grow) // size the slice once
+	}
+	for int64(len(f.blocks)) < full {
 		b, ok := d.popFreeBlock(pref)
 		if !ok {
-			d.release(f)
-			return nil, ErrNoSpace
+			return d.fail(f, oldFrags)
 		}
 		d.setRange(fragRange{start: b * d.fragsPer, count: d.fragsPer}, true)
 		f.blocks = append(f.blocks, b)
 	}
-	if tailFrags > 0 {
+	if tailFrags > 0 && !f.hasTail {
 		tail, ok := d.allocTail(pref, tailFrags)
 		if !ok {
-			d.release(f)
-			return nil, ErrNoSpace
+			return d.fail(f, oldFrags)
 		}
 		d.setRange(tail, true)
-		f.tail = tail
-		f.hasTail = true
+		f.tail, f.hasTail = tail, true
 	}
-	d.dataBytes += size
-	d.allocated += (fullBlocks*d.fragsPer + tailFrags) * d.geo.FragSize
-	return f, nil
+	d.dataBytes += size - f.size
+	d.allocated += (d.frags(f) - oldFrags) * d.geo.FragSize
+	f.size = size
+	return nil
+}
+
+// fail releases everything a file holds mid-resize and settles the byte
+// accounting for the footprint it had before.
+func (d *Disk) fail(f *File, oldFrags int64) error {
+	d.release(f)
+	d.dataBytes -= f.size
+	d.allocated -= oldFrags * d.geo.FragSize
+	f.size = 0
+	return ErrNoSpace
 }
 
 // release returns a file's fragments without touching the byte accounting.
@@ -285,36 +380,37 @@ func (d *Disk) release(f *File) {
 	for _, b := range f.blocks {
 		d.setRange(fragRange{start: b * d.fragsPer, count: d.fragsPer}, false)
 	}
-	f.blocks = nil
+	f.blocks = f.blocks[:0]
 	if f.hasTail {
 		d.setRange(f.tail, false)
-		f.hasTail = false
+		f.tail, f.hasTail = fragRange{}, false
 	}
 }
 
 // Free releases a file's space.
 func (d *Disk) Free(f *File) {
-	if f == nil || (len(f.blocks) == 0 && !f.hasTail && f.size == 0) {
+	if f == nil {
 		return
 	}
-	frags := int64(len(f.blocks)) * d.fragsPer
-	if f.hasTail {
-		frags += f.tail.count
-	}
+	frags := d.frags(f)
 	d.release(f)
 	d.dataBytes -= f.size
 	d.allocated -= frags * d.geo.FragSize
 	f.size = 0
 }
 
-// Realloc resizes a file, returning its new footprint. FFS rewrites a
-// growing tail into a larger fragment run or a full block; freeing and
-// reallocating has the same space accounting.
+// Realloc resizes a file in place and returns it; from nil it allocates.
+// Only the changed blocks and the tail move (see resize), so the cost is
+// proportional to the change, not the file. On error the file's space has
+// been released.
 func (d *Disk) Realloc(f *File, size int64) (*File, error) {
-	if f != nil {
-		d.Free(f)
+	if f == nil {
+		return d.Alloc(size)
 	}
-	return d.Alloc(size)
+	if err := d.resize(f, size); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Usage is a snapshot of disk utilization.
@@ -345,38 +441,37 @@ func (d *Disk) Usage() Usage {
 	if d.allocated > 0 {
 		u.WasteFraction = float64(d.allocated-d.dataBytes) / float64(d.allocated)
 	}
-	var freeBlockFrags int64
-	for b := range d.used {
-		if d.used[b] == 0 {
-			freeBlockFrags += d.fragsPer
-		}
+	var freeBlocks int64
+	for _, w := range d.byRun[d.fragsPer] {
+		freeBlocks += int64(bits.OnesCount64(w))
 	}
 	if d.freeFrags > 0 {
+		freeBlockFrags := freeBlocks * d.fragsPer
 		u.FreeBlockFraction = float64(freeBlockFrags) / float64(d.freeFrags)
 	}
 	return u
 }
 
-// checkInvariants verifies the bitmap, counters, and accounting agree; it
-// is used by tests.
+// checkInvariants verifies the bitmap, the free-run indexes, and the
+// accounting agree; it is used by tests.
 func (d *Disk) checkInvariants() error {
 	var usedFrags int64
-	for b := range d.used {
-		count := int8(0)
-		start := int64(b) * d.fragsPer
-		for i := int64(0); i < d.fragsPer; i++ {
-			if !d.isFree(start + i) {
-				count++
+	totalBlocks := int64(d.geo.Groups) * int64(d.geo.BlocksPerGroup)
+	for b := int64(0); b < totalBlocks; b++ {
+		free := d.freeMask(b)
+		usedFrags += d.fragsPer - int64(bits.OnesCount64(free))
+		run := longestRun(free)
+		for r := int64(1); r <= d.fragsPer; r++ {
+			if d.byRun[r].has(b) != (r == run) {
+				return fmt.Errorf("block %d: longest free run %d, but byRun[%d] membership %v", b, run, r, d.byRun[r].has(b))
 			}
 		}
-		if count != d.used[b] {
-			return fmt.Errorf("block %d: counter %d != bitmap %d", b, d.used[b], count)
+		if run > 0 && b < d.groupOf(b).mark[run] {
+			return fmt.Errorf("block %d: indexed below its group's low-water mark", b)
 		}
-		usedFrags += int64(count)
 	}
-	total := int64(len(d.used)) * d.fragsPer
-	if d.freeFrags != total-usedFrags {
-		return fmt.Errorf("freeFrags %d != %d", d.freeFrags, total-usedFrags)
+	if d.freeFrags != totalBlocks*d.fragsPer-usedFrags {
+		return fmt.Errorf("freeFrags %d != %d", d.freeFrags, totalBlocks*d.fragsPer-usedFrags)
 	}
 	if d.allocated != usedFrags*d.geo.FragSize {
 		return fmt.Errorf("allocated %d != used frag bytes %d", d.allocated, usedFrags*d.geo.FragSize)

@@ -1,8 +1,12 @@
 package ffs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
@@ -102,6 +106,12 @@ func populationOps(src trace.Source) ([]popOp, error) {
 
 // replayPop drives a population history against a fresh disk.
 func replayPop(ops []popOp, geo Geometry) (*ReplayResult, error) {
+	return replayWith(ops, geo, (*Disk).Realloc)
+}
+
+// replayWith is replayPop with the resize step as a parameter, so tests
+// can replay the same history through a reference implementation.
+func replayWith(ops []popOp, geo Geometry, realloc func(*Disk, *File, int64) (*File, error)) (*ReplayResult, error) {
 	disk, err := NewDisk(geo)
 	if err != nil {
 		return nil, err
@@ -116,7 +126,7 @@ func replayPop(ops []popOp, geo Geometry) (*ReplayResult, error) {
 			}
 			continue
 		}
-		f, err := disk.Realloc(files[op.id], op.size)
+		f, err := realloc(disk, files[op.id], op.size)
 		if err != nil {
 			res.Failed++
 			delete(files, op.id)
@@ -167,32 +177,44 @@ func WasteSweep(events []trace.Event, blockSizes []int64) ([]WasteSweepRow, erro
 
 // WasteSweepSource runs the §6.3 experiment over an event stream. The
 // population history is geometry-independent, so it is extracted from the
-// stream once — one pass, no event materialization — and replayed against
-// each of the sweep's disks.
+// stream once — one pass, no event materialization. The sweep's replays
+// are independent: each owns its Disk and only reads the shared history,
+// so they run on up to GOMAXPROCS workers, each result landing in its
+// geometry's slot. Every replay is deterministic, so the rows are the same
+// at any GOMAXPROCS.
 func WasteSweepSource(src trace.Source, blockSizes []int64) ([]WasteSweepRow, error) {
 	ops, err := populationOps(src)
 	if err != nil {
 		return nil, err
 	}
+	return wasteSweepOps(ops, blockSizes)
+}
+
+// wasteSweepOps replays a population history at every sweep geometry.
+func wasteSweepOps(ops []popOp, blockSizes []int64) ([]WasteSweepRow, error) {
+	geos := sweepGeometries(blockSizes)
+	results := make([]*ReplayResult, len(geos))
+	errs := make([]error, len(geos))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(geos)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(geos)); i = next.Add(1) - 1 {
+				results[i], errs[i] = replayPop(ops, geos[i])
+			}
+		}()
+	}
+	wg.Wait()
 	rows := make([]WasteSweepRow, 0, len(blockSizes))
-	for _, bs := range blockSizes {
-		frag := bs / 8
-		if frag < 512 {
-			frag = 512
-		}
-		if frag > bs {
-			frag = bs
-		}
-		geo := Geometry{BlockSize: bs, FragSize: frag, Groups: 16, BlocksPerGroup: int(64 << 20 / bs)}
-		withFrag, err := replayPop(ops, geo)
-		if err != nil {
+	for i, bs := range blockSizes {
+		if err := cmp.Or(errs[2*i], errs[2*i+1]); err != nil {
 			return nil, err
 		}
-		geo.FragSize = bs
-		without, err := replayPop(ops, geo)
-		if err != nil {
-			return nil, err
-		}
+		withFrag, without := results[2*i], results[2*i+1]
 		if withFrag.Failed > 0 || without.Failed > 0 {
 			return nil, fmt.Errorf("ffs: disk too small at block size %d (%d failed allocations)",
 				bs, withFrag.Failed+without.Failed)
@@ -207,4 +229,19 @@ func WasteSweepSource(src trace.Source, blockSizes []int64) ([]WasteSweepRow, er
 		})
 	}
 	return rows, nil
+}
+
+// sweepGeometries returns the disks WasteSweep replays: for block size
+// i, slot 2i is FFS style — fragments of an eighth of a block but at
+// least 512 bytes — and slot 2i+1 whole blocks only; both have 16
+// cylinder groups of 64 MB each.
+func sweepGeometries(blockSizes []int64) []Geometry {
+	geos := make([]Geometry, 0, 2*len(blockSizes))
+	for _, bs := range blockSizes {
+		geo := Geometry{BlockSize: bs, FragSize: min(max(bs/8, 512), bs), Groups: 16, BlocksPerGroup: int(64 << 20 / bs)}
+		geos = append(geos, geo)
+		geo.FragSize = bs
+		geos = append(geos, geo)
+	}
+	return geos
 }
