@@ -33,14 +33,19 @@
 // once per trace. Transfers are expressed in bytes, so one tape serves
 // every block size; per block size the tape is "resolved" once into dense
 // integer block IDs (shared read-only by all configurations at that
-// size), and each configuration replays array-indexed — no event
-// scanning, no hashing. MultiSimulate runs many configurations over one
-// tape on parallel workers; Simulate remains as the convenience wrapper
-// that builds a throwaway tape from raw events.
+// size), and each replay runs array-indexed — no event scanning, no
+// hashing. No replacement policy reads a block's dirty state, so the
+// configurations that differ only in write policy share one replay, each
+// as a lane of it (see lane). MultiSimulate runs many configurations
+// over one tape, one replay per residency group, on parallel workers; a
+// single configuration is a one-lane replay. Simulate remains as the
+// convenience wrapper that builds a throwaway tape from raw events.
 package cachesim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"bsdtrace/internal/stats"
@@ -205,44 +210,88 @@ type blockKey struct {
 }
 
 // block is one cache frame. The intrusive fields (prev/next/slot/
-// referenced) belong to the replacement policy.
+// referenced) belong to the replacement policy. dirty holds one bit per
+// lane: bit i is set while the block is modified but unwritten under
+// lane i's write policy.
 type block struct {
 	id         int32
-	dirty      bool
 	referenced bool
 	slot       int
+	dirty      uint64
 	enteredAt  trace.Time
 	prev, next *block
 }
 
-// cache is the live replay state of one configuration over one resolved
-// tape.
-type cache struct {
-	cfg      Config
-	tape     *xfer.Tape
-	r        *resolved
-	capacity int
-	res      *Result
+// maxLanes is the most write policies one replay carries: the width of
+// block.dirty.
+const maxLanes = 64
 
-	// blocks is the cache directory, indexed by dense block ID (nil =
-	// not cached).
-	blocks []*block
-	pol    replacer
+// lane is one configuration's share of a replay: the state its write
+// policy decides. No replacement policy reads a block's dirty state, so
+// configurations that differ only in write policy (and flush interval)
+// hold the same resident set at every instant; one cache replays them
+// all, each as a lane that sees exactly what a replay of its own
+// configuration alone would.
+type lane struct {
+	cfg       Config
+	nextFlush trace.Time
 	// dirties are flush-back scan candidates in the order they were
 	// dirtied. Entries can go stale (the block was evicted or purged, and
-	// its frame possibly recycled); the authoritative bit is b.dirty, so
-	// a scan flushes each dirty frame exactly once and skips the rest.
-	// Maintained only under FlushBack.
+	// its frame possibly recycled); the authoritative bit is the lane's
+	// bit of b.dirty, so a scan flushes each dirty frame exactly once and
+	// skips the rest. Maintained only under FlushBack.
 	dirties []*block
 
-	now       trace.Time
-	nextFlush trace.Time
+	diskWrites     int64
+	dirtyDiscarded int64
+	dirtyAtEnd     int64
+
 	// onDisk observes every disk operation (used by the two-level
 	// simulation, where a client's "disk" is the server).
 	onDisk func(id int32, write bool, t trace.Time)
 	// obs observes the dirty-set lifecycle (used by the crash-injection
 	// layer in internal/fault). Nil for plain simulations.
 	obs Observer
+}
+
+// diskWrite counts one block write at time t and notifies onDisk.
+func (l *lane) diskWrite(id int32, t trace.Time) {
+	l.diskWrites++
+	if l.onDisk != nil {
+		l.onDisk(id, true, t)
+	}
+}
+
+// cache is the live replay state shared by one residency group over one
+// resolved tape: the resident set, the replacer, the clock, and the
+// counters every lane's Result has in common.
+type cache struct {
+	// cfg holds the fields every lane shares; its Write and
+	// FlushInterval are the first lane's and mean nothing here.
+	cfg      Config
+	tape     *xfer.Tape
+	r        *resolved
+	capacity int
+	// res counts what every lane shares: accesses, disk reads,
+	// evictions and purges. finish fills in each lane's own fields.
+	res Result
+
+	// blocks is the cache directory, indexed by dense block ID (nil =
+	// not cached).
+	blocks []*block
+	pol    replacer
+	lanes  []lane
+
+	// Lane masks, one bit per lane: writeThrough and holding split the
+	// lanes by whether a modification is written at once or marks the
+	// block dirty; flushing are the FlushBack lanes; noting are the
+	// lanes to visit when a block turns dirty (scan lists or observers);
+	// reporting are the lanes with an onDisk observer.
+	writeThrough, holding, flushing, noting, reporting uint64
+	// nextScan is the earliest flush boundary of any flushing lane.
+	nextScan trace.Time
+
+	now trace.Time
 	// freeList recycles evicted block frames; the simulator allocates at
 	// most capacity+1 frames over its whole run, keeping long sweeps off
 	// the garbage collector's back.
@@ -252,7 +301,10 @@ type cache struct {
 	resTotal  int64
 }
 
-func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
+// newCache builds the replay of one residency group: cfgs must agree in
+// every field but Write and FlushInterval, and number 1 to maxLanes.
+func newCache(tape *xfer.Tape, r *resolved, cfgs []Config) *cache {
+	cfg := cfgs[0]
 	capacity := int(cfg.CacheSize / cfg.BlockSize)
 	if capacity < 1 {
 		capacity = 1
@@ -262,46 +314,85 @@ func newCache(tape *xfer.Tape, r *resolved, cfg Config) *cache {
 		tape:     tape,
 		r:        r,
 		capacity: capacity,
-		res:      &Result{Config: cfg},
 		blocks:   make([]*block, r.nBlocks()),
 		pol:      newReplacer(cfg.Replacement, capacity, cfg.Seed),
+		lanes:    make([]lane, len(cfgs)),
+		nextScan: math.MaxInt64,
 		// Residency spans 10 ms to days.
 		residency: stats.NewLogHistogram(0.01, 1.35, 60),
 	}
-	if cfg.Write == FlushBack {
-		c.nextFlush = cfg.FlushInterval
+	for i, lc := range cfgs {
+		bit := uint64(1) << i
+		c.lanes[i].cfg = lc
+		switch lc.Write {
+		case WriteThrough:
+			c.writeThrough |= bit
+		case FlushBack:
+			c.flushing |= bit
+			c.noting |= bit
+			c.lanes[i].nextFlush = lc.FlushInterval
+			c.nextScan = min(c.nextScan, lc.FlushInterval)
+			fallthrough
+		default:
+			c.holding |= bit
+		}
 	}
 	return c
 }
 
+// watch attaches lane i's observers (either may be nil).
+func (c *cache) watch(i int, onDisk func(id int32, write bool, t trace.Time), obs Observer) {
+	l := &c.lanes[i]
+	l.onDisk, l.obs = onDisk, obs
+	bit := uint64(1) << i
+	if onDisk != nil {
+		c.reporting |= bit
+	}
+	if obs != nil {
+		c.noting |= bit
+	}
+}
+
 // advance moves the clock forward, running any flush-back scans that came
-// due. Overdue scans execute at their scheduled times, in order, before
-// the clock catches up to t: a scan due at 30 s that is only discovered
-// by an event at 100 s still writes its blocks at clock 30 s, so onDisk
-// timestamps and crash-loss windows are exact. The clock never moves
-// backwards (the BillAtStart ablation can present slightly out-of-order
-// times; they are processed at the current clock).
+// due. The clock never moves backwards (the BillAtStart ablation can
+// present slightly out-of-order times; they are processed at the current
+// clock).
 func (c *cache) advance(t trace.Time) {
-	if c.cfg.Write == FlushBack {
-		for c.nextFlush <= t {
-			if c.nextFlush > c.now {
-				c.now = c.nextFlush
-			}
-			for _, b := range c.dirties {
-				if b.dirty {
-					b.dirty = false
-					c.diskWrite(b.id)
-					if c.obs != nil {
-						c.obs.BlockCleaned(b.id, c.now, CleanFlushed)
-					}
-				}
-			}
-			c.dirties = c.dirties[:0]
-			c.nextFlush += c.cfg.FlushInterval
-		}
+	if t >= c.nextScan {
+		c.flushDue(t)
 	}
 	if t > c.now {
 		c.now = t
+	}
+}
+
+// flushDue runs every flush-back scan due by t, lane by lane. Overdue
+// scans execute at their scheduled times, in order, before the clock
+// catches up to t: a scan due at 30 s that is only discovered by an
+// event at 100 s still writes its blocks at clock 30 s, so onDisk
+// timestamps and crash-loss windows are exact. A lane's scans touch only
+// its own dirty bits and counters, so lanes scan independently.
+func (c *cache) flushDue(t trace.Time) {
+	c.nextScan = math.MaxInt64
+	for m := c.flushing; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		l := &c.lanes[i]
+		bit := uint64(1) << i
+		for l.nextFlush <= t {
+			at := max(l.nextFlush, c.now)
+			for _, b := range l.dirties {
+				if b.dirty&bit != 0 {
+					b.dirty &^= bit
+					l.diskWrite(b.id, at)
+					if l.obs != nil {
+						l.obs.BlockCleaned(b.id, at, CleanFlushed)
+					}
+				}
+			}
+			l.dirties = l.dirties[:0]
+			l.nextFlush += l.cfg.FlushInterval
+		}
+		c.nextScan = min(c.nextScan, l.nextFlush)
 	}
 }
 
@@ -314,40 +405,34 @@ func (c *cache) recordResidency(b *block) {
 	}
 }
 
-// diskWrite and diskRead count disk operations and notify the onDisk
-// observer.
-func (c *cache) diskWrite(id int32) {
-	c.res.DiskWrites++
-	if c.onDisk != nil {
-		c.onDisk(id, true, c.now)
-	}
-}
-
+// diskRead counts a block fetch, which every lane shares, and notifies
+// the lanes' onDisk observers.
 func (c *cache) diskRead(id int32) {
 	c.res.DiskReads++
-	if c.onDisk != nil {
-		c.onDisk(id, false, c.now)
+	for m := c.reporting; m != 0; m &= m - 1 {
+		c.lanes[bits.TrailingZeros64(m)].onDisk(id, false, c.now)
 	}
 }
 
-// drop removes a block from the cache. If writeBack is true and the
-// block is dirty it costs a disk write; otherwise a dirty block is
-// discarded and counted in DirtyDiscarded.
+// drop removes a block from the cache. In each lane where the block is
+// dirty, writeBack costs a disk write; otherwise the dirty block is
+// discarded and counted in that lane's DirtyDiscarded.
 func (c *cache) drop(b *block, writeBack bool) {
-	if b.dirty {
+	for m := b.dirty; m != 0; m &= m - 1 {
+		l := &c.lanes[bits.TrailingZeros64(m)]
 		if writeBack {
-			c.diskWrite(b.id)
-			if c.obs != nil {
-				c.obs.BlockCleaned(b.id, c.now, CleanWriteBack)
+			l.diskWrite(b.id, c.now)
+			if l.obs != nil {
+				l.obs.BlockCleaned(b.id, c.now, CleanWriteBack)
 			}
 		} else {
-			c.res.DirtyDiscarded++
-			if c.obs != nil {
-				c.obs.BlockCleaned(b.id, c.now, CleanDiscarded)
+			l.dirtyDiscarded++
+			if l.obs != nil {
+				l.obs.BlockCleaned(b.id, c.now, CleanDiscarded)
 			}
 		}
-		b.dirty = false
 	}
+	b.dirty = 0
 	c.recordResidency(b)
 	c.blocks[b.id] = nil
 	c.pol.remove(b)
@@ -397,19 +482,21 @@ func (c *cache) insert(id int32) *block {
 	return b
 }
 
-// markDirty applies the write policy to a modified block.
+// markDirty applies every lane's write policy to a modified block:
+// write-through lanes write it at once, the others mark it dirty.
 func (c *cache) markDirty(b *block) {
-	if c.cfg.Write == WriteThrough {
-		c.diskWrite(b.id)
-		return
+	for m := c.writeThrough; m != 0; m &= m - 1 {
+		c.lanes[bits.TrailingZeros64(m)].diskWrite(b.id, c.now)
 	}
-	if !b.dirty {
-		b.dirty = true
-		if c.cfg.Write == FlushBack {
-			c.dirties = append(c.dirties, b)
+	fresh := c.holding &^ b.dirty
+	b.dirty |= fresh
+	for m := fresh & c.noting; m != 0; m &= m - 1 {
+		l := &c.lanes[bits.TrailingZeros64(m)]
+		if l.cfg.Write == FlushBack {
+			l.dirties = append(l.dirties, b)
 		}
-		if c.obs != nil {
-			c.obs.BlockDirtied(b.id, c.now)
+		if l.obs != nil {
+			l.obs.BlockDirtied(b.id, c.now)
 		}
 	}
 }
@@ -482,29 +569,42 @@ func (c *cache) run() {
 	}
 }
 
-// finish closes out the simulation, recording residency for blocks still
-// cached and counting blocks still dirty.
-func (c *cache) finish() *Result {
+// finish closes out the replay, recording residency for blocks still
+// cached and counting blocks still dirty, and returns one Result per
+// lane, in lane order. Each Result owns its Residency slice.
+func (c *cache) finish() []*Result {
 	for _, b := range c.blocks {
 		if b == nil {
 			continue
 		}
-		if b.dirty {
-			c.res.DirtyAtEnd++
+		for m := b.dirty; m != 0; m &= m - 1 {
+			c.lanes[bits.TrailingZeros64(m)].dirtyAtEnd++
 		}
 		c.recordResidency(b)
 	}
-	c.res.Residency = c.residency.CDF()
 	if c.resTotal > 0 {
 		c.res.ResidencyOver = float64(c.resOver) / float64(c.resTotal)
 	}
-	return c.res
+	out := make([]*Result, len(c.lanes))
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		r := c.res
+		r.Config = l.cfg
+		r.DiskWrites = l.diskWrites
+		r.DirtyDiscarded = l.dirtyDiscarded
+		r.DirtyAtEnd = l.dirtyAtEnd
+		r.Residency = c.residency.CDF()
+		out[i] = &r
+	}
+	return out
 }
 
-func simulateResolved(tape *xfer.Tape, r *resolved, cfg Config) *Result {
-	c := newCache(tape, r, cfg)
+// simulateResolved replays one configuration: a one-lane replay.
+func simulateResolved(tape *xfer.Tape, r *resolved, cfg Config, obs Observer) *Result {
+	c := newCache(tape, r, []Config{cfg})
+	c.watch(0, nil, obs)
 	c.run()
-	return c.finish()
+	return c.finish()[0]
 }
 
 // SimulateTape runs one cache simulation by replaying a transfer tape.
@@ -514,15 +614,16 @@ func SimulateTape(tape *xfer.Tape, cfg Config) (*Result, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	return simulateResolved(tape, resolvedFor(tape, cfg.BlockSize), cfg), nil
+	return simulateResolved(tape, resolvedFor(tape, cfg.BlockSize), cfg, nil), nil
 }
 
-// MultiSimulate replays one tape into every configuration, sharded
-// across parallel workers, and returns the results in configuration
-// order. Each result is identical to what Simulate would produce on the
-// tape's source events: replay order is fixed by the tape, so worker
-// count and scheduling cannot affect any result. All configurations are
-// validated before any work starts.
+// MultiSimulate replays one tape into every configuration and returns
+// the results in configuration order. It runs one replay per residency
+// group (configs that differ only in write policy share one), sharded
+// across parallel workers. Each result is identical to what Simulate
+// would produce on the tape's source events: replay order is fixed by
+// the tape, so grouping, worker count and scheduling cannot affect any
+// result. All configurations are validated before any work starts.
 func MultiSimulate(tape *xfer.Tape, cfgs []Config) ([]*Result, error) {
 	return MultiSimulateObserved(tape, cfgs, nil)
 }
@@ -539,7 +640,7 @@ func Simulate(events []trace.Event, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cachesim: malformed trace: %v", err)
 	}
-	return simulateResolved(tape, resolveTape(tape, cfg.BlockSize), cfg), nil
+	return simulateResolved(tape, resolveTape(tape, cfg.BlockSize), cfg, nil), nil
 }
 
 // CountBlockAccesses returns the number of logical block accesses a trace

@@ -182,8 +182,8 @@ func mergeResolved(machineRes []*resolved, blockBase []int32, blockSize int64, n
 func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 	onDisk func(id int32, write bool, t trace.Time),
 	onPurge func(fs int32, size int64, t trace.Time)) *Result {
-	c := newCache(&xfer.Tape{}, r, cfg)
-	c.onDisk = onDisk
+	c := newCache(&xfer.Tape{}, r, []Config{cfg})
+	c.watch(0, onDisk, nil)
 	for i := range ops {
 		op := &ops[i]
 		c.advance(op.time)
@@ -214,7 +214,7 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 			c.markDirty(b)
 		}
 	}
-	return c.finish()
+	return c.finish()[0]
 }
 
 // HierarchySimulateTapes replays one tape per machine through the tier

@@ -33,27 +33,34 @@ func firstDisorder(ops []serverOp) int {
 }
 
 // disklessTapes builds the three machines' tapes at seed 1, as fsreport's
-// diskless section replays them: 8 hours each, 2 in -short mode.
+// diskless section replays them.
 func disklessTapes(t *testing.T) []*xfer.Tape {
 	t.Helper()
+	var tapes []*xfer.Tape
+	for _, name := range []string{"A5", "E3", "C4"} {
+		tapes = append(tapes, profileTape(t, name))
+	}
+	return tapes
+}
+
+// profileTape builds one machine profile's seed-1 tape: 8 hours, 2 in
+// -short mode.
+func profileTape(tb testing.TB, name string) *xfer.Tape {
+	tb.Helper()
 	dur := 8 * trace.Hour
 	if testing.Short() {
 		dur = 2 * trace.Hour
 	}
-	var tapes []*xfer.Tape
-	for _, name := range []string{"A5", "E3", "C4"} {
-		tb := xfer.NewTapeBuilder()
-		if _, err := workload.GenerateStream(workload.Config{Profile: name, Seed: 1, Duration: dur},
-			func(e trace.Event) error { tb.Add(e); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		tape, err := tb.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tapes = append(tapes, tape)
+	b := xfer.NewTapeBuilder()
+	if _, err := workload.GenerateStream(workload.Config{Profile: name, Seed: 1, Duration: dur},
+		func(e trace.Event) error { b.Add(e); return nil }); err != nil {
+		tb.Fatal(err)
 	}
-	return tapes
+	tape, err := b.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tape
 }
 
 // TestClientStreamsTimeOrdered pins mergePasses's premise on the real

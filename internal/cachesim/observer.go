@@ -17,7 +17,7 @@ import (
 //
 // Callback times are nondecreasing: the replay clock never moves
 // backwards, and overdue flush-back scans execute at their scheduled
-// times (see cache.advance), so a CleanFlushed notification carries the
+// times (see cache.flushDue), so a CleanFlushed notification carries the
 // flush boundary the write actually happened at, not the time of the
 // event that caught the clock up.
 
@@ -65,17 +65,18 @@ func SimulateTapeObserved(tape *xfer.Tape, cfg Config, obs Observer) (*Result, e
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	c := newCache(tape, resolvedFor(tape, cfg.BlockSize), cfg)
-	c.obs = obs
-	c.run()
-	return c.finish(), nil
+	return simulateResolved(tape, resolvedFor(tape, cfg.BlockSize), cfg, obs), nil
 }
 
 // MultiSimulateObserved is MultiSimulate with per-configuration
 // observers: configuration i gets obs(i) attached (obs itself may be nil,
 // and so may any value it returns). The observer factory is called before
-// the parallel replay starts, in configuration order; each observer then
-// sees only its own configuration's replay, single-goroutine.
+// the parallel replay starts, in configuration order. It runs one replay
+// per residency group (configs that differ only in write policy share
+// one): the observers of one group are called from that replay's
+// goroutine, interleaved, and each sees only its own configuration's
+// callbacks, in exactly the order a replay of that configuration alone
+// would make them.
 func MultiSimulateObserved(tape *xfer.Tape, cfgs []Config, obs func(i int) Observer) ([]*Result, error) {
 	filled := make([]Config, len(cfgs))
 	for i, cfg := range cfgs {
@@ -90,13 +91,43 @@ func MultiSimulateObserved(tape *xfer.Tape, cfgs []Config, obs func(i int) Obser
 			observers[i] = obs(i)
 		}
 	}
+	groups := laneGroups(filled)
 	out := make([]*Result, len(cfgs))
-	runParallel(len(filled), func(i int) error {
-		c := newCache(tape, resolvedFor(tape, filled[i].BlockSize), filled[i])
-		c.obs = observers[i]
+	runParallel(len(groups), func(g int) error {
+		lanes := make([]Config, len(groups[g]))
+		for k, i := range groups[g] {
+			lanes[k] = filled[i]
+		}
+		c := newCache(tape, resolvedFor(tape, lanes[0].BlockSize), lanes)
+		for k, i := range groups[g] {
+			c.watch(k, nil, observers[i])
+		}
 		c.run()
-		out[i] = c.finish()
+		for k, r := range c.finish() {
+			out[groups[g][k]] = r
+		}
 		return nil
 	})
 	return out, nil
+}
+
+// laneGroups partitions configurations into residency groups, as lists
+// of indices in configuration order: configs equal in every field but
+// Write and FlushInterval share a group, up to maxLanes to a group.
+// Groups are ordered by their first configuration.
+func laneGroups(cfgs []Config) [][]int {
+	var groups [][]int
+	open := make(map[Config]int)
+	for i, cfg := range cfgs {
+		key := cfg
+		key.Write, key.FlushInterval = 0, 0
+		g, ok := open[key]
+		if !ok || len(groups[g]) == maxLanes {
+			g = len(groups)
+			groups = append(groups, nil)
+			open[key] = g
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
 }

@@ -35,7 +35,7 @@ type TwoLevelConfig struct {
 	// OnServerDisk, if non-nil, observes every server disk operation:
 	// the block id in the server's global dense ID space, the direction,
 	// and the simulated time. Flush-back write-backs carry their exact
-	// flush-boundary times (see cache.advance).
+	// flush-boundary times (see cache.flushDue).
 	OnServerDisk func(id int32, write bool, t trace.Time)
 }
 
@@ -110,14 +110,14 @@ type clientPass struct {
 // dense IDs into the server's global ID space.
 func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32) *clientPass {
 	p := &clientPass{}
-	c := newCache(tape, r, cfg)
-	c.onDisk = func(id int32, write bool, t trace.Time) {
+	c := newCache(tape, r, []Config{cfg})
+	c.watch(0, func(id int32, write bool, t trace.Time) {
 		kind := opRead
 		if write {
 			kind = opWrite
 		}
 		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
-	}
+	}, nil)
 	ops := tape.Ops
 	for i := range ops {
 		op := &ops[i]
@@ -132,7 +132,7 @@ func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int
 			c.transfer(op.Xfer)
 		}
 	}
-	p.res = c.res
+	p.res = c.finish()[0]
 	return p
 }
 

@@ -13,7 +13,8 @@
 // data was safe.
 //
 // The measurement follows the tape engine's reuse discipline: one replay
-// per configuration, not one per crash point. A crash observer (the
+// per residency group (configs that differ only in write policy share
+// one), not one per crash point. A crash observer (the
 // cachesim.Observer hookup) maintains a shadow dirty set with
 // dirtied-since timestamps as the replay runs; because observer callbacks
 // arrive in nondecreasing time order — overdue flush-back scans execute
@@ -243,8 +244,8 @@ func checkPoints(points []trace.Time) ([]trace.Time, error) {
 	return pts, nil
 }
 
-// CrashReplayTape replays one configuration over the tape once, sampling
-// the dirty set at every crash point. The returned report's Result is a
+// CrashReplayTape replays one configuration over the tape once (a
+// one-lane replay), sampling the dirty set at every crash point. The returned report's Result is a
 // full traffic-side simulation result, identical to SimulateTape's.
 func CrashReplayTape(tape *xfer.Tape, cfg cachesim.Config, points []trace.Time) (*Report, error) {
 	rs, err := SweepTape(tape, []cachesim.Config{cfg}, points)
@@ -255,10 +256,11 @@ func CrashReplayTape(tape *xfer.Tape, cfg cachesim.Config, points []trace.Time) 
 }
 
 // SweepTape runs the crash sweep for every configuration over one shared
-// tape: each configuration costs one replay (on parallel workers, via
-// cachesim.MultiSimulateObserved) regardless of how many crash points are
-// sampled, and all configurations share the tape's per-block-size
-// resolutions. Results are in configuration order and deterministic.
+// tape: one replay per residency group (configs that differ only in
+// write policy share one), on parallel workers via
+// cachesim.MultiSimulateObserved, regardless of how many crash points
+// are sampled; all configurations share the tape's per-block-size
+// resolutions. The trackers of one group run on that replay's goroutine. Results are in configuration order and deterministic.
 func SweepTape(tape *xfer.Tape, cfgs []cachesim.Config, points []trace.Time) ([]*Report, error) {
 	pts, err := checkPoints(points)
 	if err != nil {
