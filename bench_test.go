@@ -63,6 +63,16 @@ func benchSetup(b *testing.B) {
 	b.ResetTimer()
 }
 
+// mustTape builds a trace's transfer tape, the simulators' only input.
+func mustTape(tb testing.TB, events []trace.Event) *xfer.Tape {
+	tb.Helper()
+	tape, err := xfer.NewTape(events)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tape
+}
+
 // BenchmarkGenerate measures trace generation itself (events/sec of
 // synthetic machine time).
 func BenchmarkGenerate(b *testing.B) {
@@ -91,12 +101,13 @@ func BenchmarkAnalyze(b *testing.B) {
 func BenchmarkTableI(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		policy, err := cachesim.PolicySweep(benchA5, 4096,
+		tape := mustTape(b, benchA5)
+		policy, err := cachesim.PolicySweepTape(tape, 4096,
 			[]int64{cachesim.UnixCacheSize, 1 << 20, 2 << 20, 4 << 20}, cachesim.PaperPolicies())
 		if err != nil {
 			b.Fatal(err)
 		}
-		block, err := cachesim.BlockSizeSweep(benchA5,
+		block, err := cachesim.BlockSizeSweepTape(tape,
 			[]int64{4096, 8192, 16384}, []int64{400 << 10, 2 << 20, 4 << 20})
 		if err != nil {
 			b.Fatal(err)
@@ -212,7 +223,7 @@ func BenchmarkTableVI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
 		pols := cachesim.PaperPolicies()
-		res, err := cachesim.PolicySweep(benchA5, 4096, sizes, pols)
+		res, err := cachesim.PolicySweepTape(mustTape(b, benchA5), 4096, sizes, pols)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,7 +241,7 @@ func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
 		pols := cachesim.PaperPolicies()
-		res, err := cachesim.PolicySweep(benchA5, 4096, sizes, pols)
+		res, err := cachesim.PolicySweepTape(mustTape(b, benchA5), 4096, sizes, pols)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +257,7 @@ func BenchmarkTableVII(b *testing.B) {
 	benchSetup(b)
 	var best16 int64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.BlockSizeSweep(benchA5, cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
+		res, err := cachesim.BlockSizeSweepTape(mustTape(b, benchA5), cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +273,7 @@ func BenchmarkTableVII(b *testing.B) {
 func BenchmarkFigure6(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.BlockSizeSweep(benchA5, cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
+		res, err := cachesim.BlockSizeSweepTape(mustTape(b, benchA5), cachesim.PaperBlockSizes(), cachesim.PaperBlockCacheSizes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,7 +289,7 @@ func BenchmarkFigure7(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
 		sizes := cachesim.PaperCacheSizes()
-		res, err := cachesim.PagingSweep(benchA5, 4096, sizes)
+		res, err := cachesim.PagingSweepTape(mustTape(b, benchA5), 4096, sizes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +307,7 @@ func BenchmarkResidency(b *testing.B) {
 	benchSetup(b)
 	var over float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.Simulate(benchA5, cachesim.Config{
+		r, err := cachesim.SimulateTape(mustTape(b, benchA5), cachesim.Config{
 			BlockSize: 4096, CacheSize: 4 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -315,7 +326,7 @@ func BenchmarkAblationReplacement(b *testing.B) {
 	benchSetup(b)
 	var lru, fifo float64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.ReplacementSweep(benchA5, 4096, 2<<20, 1)
+		res, err := cachesim.ReplacementSweepTape(mustTape(b, benchA5), 4096, 2<<20, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +343,7 @@ func BenchmarkAblationFlushInterval(b *testing.B) {
 	intervals := []trace.Time{trace.Second, 30 * trace.Second, 5 * trace.Minute, trace.Hour}
 	var first, last float64
 	for i := 0; i < b.N; i++ {
-		res, err := cachesim.FlushIntervalSweep(benchA5, 4096, 2<<20, intervals)
+		res, err := cachesim.FlushIntervalSweepTape(mustTape(b, benchA5), 4096, 2<<20, intervals)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -348,8 +359,9 @@ func BenchmarkAblationBilling(b *testing.B) {
 	benchSetup(b)
 	var end, start float64
 	for i := 0; i < b.N; i++ {
+		tape := mustTape(b, benchA5)
 		for _, billStart := range []bool{false, true} {
-			r, err := cachesim.Simulate(benchA5, cachesim.Config{
+			r, err := cachesim.SimulateTape(tape, cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20,
 				Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
 				BillAtStart: billStart,
@@ -373,8 +385,9 @@ func BenchmarkAblationPurge(b *testing.B) {
 	benchSetup(b)
 	var purge, noPurge float64
 	for i := 0; i < b.N; i++ {
+		tape := mustTape(b, benchA5)
 		for _, np := range []bool{false, true} {
-			r, err := cachesim.Simulate(benchA5, cachesim.Config{
+			r, err := cachesim.SimulateTape(tape, cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
 				NoPurge: np,
 			})
@@ -431,7 +444,7 @@ func BenchmarkMetadata(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		data, err := cachesim.Simulate(benchA5, cachesim.Config{
+		data, err := cachesim.SimulateTape(mustTape(b, benchA5), cachesim.Config{
 			BlockSize: 4096, CacheSize: cachesim.UnixCacheSize,
 			Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
 		})
@@ -469,7 +482,7 @@ func BenchmarkStackDistance(b *testing.B) {
 	benchSetup(b)
 	var at4MB float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.StackDistances(benchA5, 4096)
+		r, err := cachesim.StackDistancesTape(mustTape(b, benchA5), 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +512,7 @@ func BenchmarkServerConsolidation(b *testing.B) {
 		merged := trace.Merge(machines...)
 		var splitIOs, splitAcc int64
 		for _, events := range machines {
-			r, err := cachesim.Simulate(events, cachesim.Config{
+			r, err := cachesim.SimulateTape(mustTape(b, events), cachesim.Config{
 				BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
 			})
 			if err != nil {
@@ -509,7 +522,7 @@ func BenchmarkServerConsolidation(b *testing.B) {
 			splitAcc += r.LogicalAccesses
 		}
 		split = float64(splitIOs) / float64(splitAcc)
-		r, err := cachesim.Simulate(merged, cachesim.Config{
+		r, err := cachesim.SimulateTape(mustTape(b, merged), cachesim.Config{
 			BlockSize: 4096, CacheSize: 6 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -536,7 +549,11 @@ func BenchmarkDiskless(b *testing.B) {
 	b.ResetTimer()
 	var hit, endToEnd float64
 	for i := 0; i < b.N; i++ {
-		r, err := cachesim.TwoLevelSimulate(machines, cachesim.TwoLevelConfig{
+		tapes := make([]*xfer.Tape, len(machines))
+		for m, events := range machines {
+			tapes[m] = mustTape(b, events)
+		}
+		r, err := cachesim.TwoLevelSimulateTapes(tapes, cachesim.TwoLevelConfig{
 			BlockSize: 4096, ClientCache: 512 << 10, ServerCache: 8 << 20,
 			Write: cachesim.DelayedWrite,
 		})
@@ -579,7 +596,7 @@ func benchPaperConfigs() []cachesim.Config {
 
 // BenchmarkNaiveSweep runs the combined Section-6 sweep the
 // pre-tape way: every configuration re-reconstructs the transfer stream
-// from the raw events (Simulate builds a private tape per call). The
+// from the raw events (a private tape per SimulateTape call). The
 // configurations still run on parallel workers, so the comparison with
 // BenchmarkTapeReuse isolates the cost of re-reconstruction, not of
 // serial execution.
@@ -594,7 +611,11 @@ func BenchmarkNaiveSweep(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				for j := range next {
-					if _, err := cachesim.Simulate(benchA5, cfgs[j]); err != nil {
+					tape, err := xfer.NewTape(benchA5)
+					if err == nil {
+						_, err = cachesim.SimulateTape(tape, cfgs[j])
+					}
+					if err != nil {
 						b.Error(err)
 						return
 					}
@@ -634,7 +655,7 @@ func BenchmarkWorkingSet(b *testing.B) {
 	benchSetup(b)
 	var tenMin float64
 	for i := 0; i < b.N; i++ {
-		ws, err := cachesim.WorkingSet(benchA5, 4096, []trace.Time{
+		ws, err := cachesim.WorkingSetTape(mustTape(b, benchA5), 4096, []trace.Time{
 			10 * trace.Second, trace.Minute, 10 * trace.Minute,
 		})
 		if err != nil {

@@ -372,7 +372,7 @@ func runSweep(w *os.File, tape *xfer.Tape, name string, fit int, reg *obs.Regist
 				{Name: "ram", Size: cachesim.UnixCacheSize, Replacement: cachesim.LRU,
 					Write: cachesim.WriteThrough},
 				{Name: "flash", Size: 4 << 20, Replacement: cachesim.ARC, Seed: 1,
-					Write: cachesim.DelayedWrite,
+					Write:       cachesim.DelayedWrite,
 					ReadLatency: trace.Millisecond, WriteLatency: 2 * trace.Millisecond,
 					EnduranceWrites: 100_000},
 				{Name: "disk", ReadLatency: 10 * trace.Millisecond,

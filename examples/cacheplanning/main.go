@@ -15,6 +15,7 @@ import (
 	"bsdtrace/internal/report"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
+	"bsdtrace/internal/xfer"
 )
 
 func main() {
@@ -27,7 +28,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	events := res.Events
+	tape, err := xfer.NewTape(res.Events)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	sizes := []int64{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20}
 	policies := []cachesim.PolicySpec{
@@ -36,7 +40,7 @@ func main() {
 		{Name: "5min flush", Write: cachesim.FlushBack, Interval: 5 * trace.Minute},
 		{Name: "delayed", Write: cachesim.DelayedWrite},
 	}
-	sweep, err := cachesim.PolicySweep(events, 8192, sizes, policies)
+	sweep, err := cachesim.PolicySweepTape(tape, 8192, sizes, policies)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"bsdtrace/internal/cachesim"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
+	"bsdtrace/internal/xfer"
 )
 
 func main() {
@@ -41,8 +42,13 @@ func main() {
 		100*a.Lifetimes.ByFiles.FractionAtOrBelow(180))
 
 	// 3. Cache simulation (the paper's Section 6): a 4-Mbyte LRU cache
-	// of 4-kbyte blocks under the delayed-write policy.
-	r, err := cachesim.Simulate(res.Events, cachesim.Config{
+	// of 4-kbyte blocks under the delayed-write policy, replayed from
+	// the trace's transfer tape.
+	tape, err := xfer.NewTape(res.Events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cachesim.SimulateTape(tape, cachesim.Config{
 		BlockSize: 4096,
 		CacheSize: 4 << 20,
 		Write:     cachesim.DelayedWrite,

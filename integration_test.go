@@ -34,7 +34,7 @@ func TestPipelineDeterminism(t *testing.T) {
 		if err := report.TableV(tr).Render(&buf); err != nil {
 			t.Fatal(err)
 		}
-		sim, err := cachesim.Simulate(res.Events, cachesim.Config{
+		sim, err := cachesim.SimulateTape(mustTape(t, res.Events), cachesim.Config{
 			BlockSize: 4096, CacheSize: 2 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -93,7 +93,7 @@ func TestSeedStability(t *testing.T) {
 		if f := a.OpenTimes.FractionAtOrBelow(0.5); f < 0.6 || f > 0.95 {
 			t.Errorf("seed %d: opens<=0.5s %.2f out of bracket", seed, f)
 		}
-		sim, err := cachesim.Simulate(res.Events, cachesim.Config{
+		sim, err := cachesim.SimulateTape(mustTape(t, res.Events), cachesim.Config{
 			BlockSize: 4096, CacheSize: 4 << 20, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {
@@ -113,11 +113,11 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := res.Events
+	tape := mustTape(t, res.Events)
 
 	sizes := cachesim.PaperCacheSizes()
 	pols := cachesim.PaperPolicies()
-	sweep, err := cachesim.PolicySweep(events, 4096, sizes, pols)
+	sweep, err := cachesim.PolicySweepTape(tape, 4096, sizes, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 	}
 
 	// Figure 7: paging hurts small caches, helps big ones.
-	paging, err := cachesim.PagingSweep(events, 4096, sizes)
+	paging, err := cachesim.PagingSweepTape(tape, 4096, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestPaperShapesEndToEnd(t *testing.T) {
 	}
 
 	// Table VII: the 32-KB upturn at the smallest cache.
-	block, err := cachesim.BlockSizeSweep(events, cachesim.PaperBlockSizes(), []int64{400 << 10})
+	block, err := cachesim.BlockSizeSweepTape(tape, cachesim.PaperBlockSizes(), []int64{400 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +198,14 @@ func TestStackDistanceTracksSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stack, err := cachesim.StackDistances(res.Events, 4096)
+	tape := mustTape(t, res.Events)
+	stack, err := cachesim.StackDistancesTape(tape, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prevStack, prevSim := math.Inf(1), math.Inf(1)
 	for _, cs := range []int64{512 << 10, 2 << 20, 8 << 20} {
-		sim, err := cachesim.Simulate(res.Events, cachesim.Config{
+		sim, err := cachesim.SimulateTape(tape, cachesim.Config{
 			BlockSize: 4096, CacheSize: cs, Write: cachesim.DelayedWrite,
 		})
 		if err != nil {

@@ -38,8 +38,8 @@
 // configurations that differ only in write policy share one replay, each
 // as a lane of it (see lane). MultiSimulate runs many configurations
 // over one tape, one replay per residency group, on parallel workers; a
-// single configuration is a one-lane replay. Simulate remains as the
-// convenience wrapper that builds a throwaway tape from raw events.
+// single configuration is a one-lane replay (SimulateTape). Tapes are the
+// only simulation input: build one from raw events with xfer.NewTape.
 package cachesim
 
 import (
@@ -620,41 +620,12 @@ func SimulateTape(tape *xfer.Tape, cfg Config) (*Result, error) {
 // MultiSimulate replays one tape into every configuration and returns
 // the results in configuration order. It runs one replay per residency
 // group (configs that differ only in write policy share one), sharded
-// across parallel workers. Each result is identical to what Simulate
-// would produce on the tape's source events: replay order is fixed by
+// across parallel workers. Each result is identical to what SimulateTape
+// would produce for that configuration alone: replay order is fixed by
 // the tape, so grouping, worker count and scheduling cannot affect any
 // result. All configurations are validated before any work starts.
 func MultiSimulate(tape *xfer.Tape, cfgs []Config) ([]*Result, error) {
 	return MultiSimulateObserved(tape, cfgs, nil)
-}
-
-// Simulate runs one cache simulation over a time-ordered trace. It is
-// the single-configuration convenience wrapper around SimulateTape; to
-// run several configurations over one trace, build the tape once with
-// xfer.NewTape and use MultiSimulate.
-func Simulate(events []trace.Event, cfg Config) (*Result, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, fmt.Errorf("cachesim: malformed trace: %v", err)
-	}
-	return simulateResolved(tape, resolveTape(tape, cfg.BlockSize), cfg, nil), nil
-}
-
-// CountBlockAccesses returns the number of logical block accesses a trace
-// generates at the given block size — the "no cache" column of the paper's
-// Table VII.
-func CountBlockAccesses(events []trace.Event, blockSize int64, simulatePaging bool) (int64, error) {
-	if blockSize <= 0 {
-		return 0, fmt.Errorf("cachesim: block size %d must be positive", blockSize)
-	}
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return 0, fmt.Errorf("cachesim: malformed trace: %v", err)
-	}
-	return CountTapeAccesses(tape, blockSize, simulatePaging), nil
 }
 
 // CountTapeAccesses returns the number of logical block accesses a tape

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/xfer"
 )
 
 // tb is a tiny trace builder for cache tests.
@@ -67,7 +68,7 @@ func (b *tb) exec(f trace.FileID, size int64) {
 
 func mustSim(t *testing.T, events []trace.Event, cfg Config) *Result {
 	t.Helper()
-	r, err := Simulate(events, cfg)
+	r, err := SimulateTape(mustTape(t, events), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestConfigValidation(t *testing.T) {
 		"zeroCache":     {BlockSize: 4096},
 		"flushNoPeriod": {BlockSize: 4096, CacheSize: 1 << 20, Write: FlushBack},
 	} {
-		if _, err := Simulate(nil, cfg); err == nil {
+		if _, err := SimulateTape(&xfer.Tape{}, cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
 		}
 	}
@@ -358,7 +359,7 @@ func TestMalformedTraceRejected(t *testing.T) {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindClose, OpenID: 5, NewPos: 100},
 	}
-	if _, err := Simulate(events, Config{BlockSize: 4096, CacheSize: 1 << 20, Write: DelayedWrite}); err == nil {
+	if _, err := xfer.NewTape(events); err == nil {
 		t.Errorf("malformed trace accepted")
 	}
 }
@@ -367,19 +368,12 @@ func TestCountBlockAccesses(t *testing.T) {
 	b := newTB()
 	b.write(1, 10000)
 	b.read(1, 10000)
-	n, err := CountBlockAccesses(b.events, 4096, false)
-	if err != nil {
-		t.Fatal(err)
+	tape := mustTape(t, b.events)
+	if n := CountTapeAccesses(tape, 4096, false); n != 6 { // 3 write blocks + 3 read blocks
+		t.Errorf("CountTapeAccesses = %d, want 6", n)
 	}
-	if n != 6 { // 3 write blocks + 3 read blocks
-		t.Errorf("CountBlockAccesses = %d, want 6", n)
-	}
-	n2, err := CountBlockAccesses(b.events, 8192, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 4 {
-		t.Errorf("8K CountBlockAccesses = %d, want 4", n2)
+	if n := CountTapeAccesses(tape, 8192, false); n != 4 {
+		t.Errorf("8K CountTapeAccesses = %d, want 4", n)
 	}
 }
 
@@ -421,10 +415,10 @@ func randomTrace(seed int64, n int) []trace.Event {
 // stack inclusion property, which purging preserves).
 func TestLRUMonotoneInCacheSize(t *testing.T) {
 	f := func(seed int64) bool {
-		events := randomTrace(seed, 200)
+		tape := mustTape(t, randomTrace(seed, 200))
 		prev := int64(-1)
 		for _, cs := range []int64{8192, 32768, 131072, 1 << 20} {
-			r, err := Simulate(events, Config{BlockSize: 4096, CacheSize: cs, Write: DelayedWrite})
+			r, err := SimulateTape(tape, Config{BlockSize: 4096, CacheSize: cs, Write: DelayedWrite})
 			if err != nil {
 				return false
 			}
@@ -445,22 +439,22 @@ func TestLRUMonotoneInCacheSize(t *testing.T) {
 // independent.
 func TestWritePolicyOrdering(t *testing.T) {
 	f := func(seed int64) bool {
-		events := randomTrace(seed, 200)
+		tape := mustTape(t, randomTrace(seed, 200))
 		cfg := Config{BlockSize: 4096, CacheSize: 131072}
 		cfg.Write = WriteThrough
-		wt, err := Simulate(events, cfg)
+		wt, err := SimulateTape(tape, cfg)
 		if err != nil {
 			return false
 		}
 		cfg.Write = FlushBack
 		cfg.FlushInterval = 30 * trace.Second
-		fb, err := Simulate(events, cfg)
+		fb, err := SimulateTape(tape, cfg)
 		if err != nil {
 			return false
 		}
 		cfg.Write = DelayedWrite
 		cfg.FlushInterval = 0
-		dw, err := Simulate(events, cfg)
+		dw, err := SimulateTape(tape, cfg)
 		if err != nil {
 			return false
 		}
@@ -478,8 +472,7 @@ func TestWritePolicyOrdering(t *testing.T) {
 // accesses + flush rewrites; totals are internally consistent.
 func TestResultConsistency(t *testing.T) {
 	f := func(seed int64) bool {
-		events := randomTrace(seed, 300)
-		r, err := Simulate(events, Config{BlockSize: 4096, CacheSize: 65536, Write: DelayedWrite})
+		r, err := SimulateTape(mustTape(t, randomTrace(seed, 300)), Config{BlockSize: 4096, CacheSize: 65536, Write: DelayedWrite})
 		if err != nil {
 			return false
 		}

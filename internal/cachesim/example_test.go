@@ -6,18 +6,23 @@ import (
 
 	"bsdtrace/internal/cachesim"
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/xfer"
 )
 
 // A file is written, deleted while its blocks are still cached, and —
 // under the delayed-write policy — never reaches the disk at all: the
 // paper's headline mechanism.
-func ExampleSimulate() {
+func ExampleSimulateTape() {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindCreate, OpenID: 1, File: 5, User: 1, Mode: trace.WriteOnly},
 		{Time: 50, Kind: trace.KindClose, OpenID: 1, NewPos: 8192},
 		{Time: 30_000, Kind: trace.KindUnlink, File: 5},
 	}
-	r, err := cachesim.Simulate(events, cachesim.Config{
+	tape, err := xfer.NewTape(events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cachesim.SimulateTape(tape, cachesim.Config{
 		BlockSize: 4096,
 		CacheSize: 1 << 20,
 		Write:     cachesim.DelayedWrite,
@@ -35,13 +40,17 @@ func ExampleSimulate() {
 }
 
 // The same trace under write-through pays for every modified block.
-func ExampleSimulate_writeThrough() {
+func ExampleSimulateTape_writeThrough() {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindCreate, OpenID: 1, File: 5, User: 1, Mode: trace.WriteOnly},
 		{Time: 50, Kind: trace.KindClose, OpenID: 1, NewPos: 8192},
 		{Time: 30_000, Kind: trace.KindUnlink, File: 5},
 	}
-	r, err := cachesim.Simulate(events, cachesim.Config{
+	tape, err := xfer.NewTape(events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cachesim.SimulateTape(tape, cachesim.Config{
 		BlockSize: 4096,
 		CacheSize: 1 << 20,
 		Write:     cachesim.WriteThrough,
@@ -54,9 +63,9 @@ func ExampleSimulate_writeThrough() {
 	// disk I/Os: 2 (miss ratio 100%)
 }
 
-// StackDistances computes the LRU miss-ratio curve for every cache size
-// in one pass.
-func ExampleStackDistances() {
+// StackDistancesTape computes the LRU miss-ratio curve for every cache
+// size in one pass.
+func ExampleStackDistancesTape() {
 	var events []trace.Event
 	id := trace.OpenID(1)
 	tm := trace.Time(0)
@@ -72,7 +81,11 @@ func ExampleStackDistances() {
 			tm += 100
 		}
 	}
-	r, err := cachesim.StackDistances(events, 4096)
+	tape, err := xfer.NewTape(events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r, err := cachesim.StackDistancesTape(tape, 4096)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,21 +1,20 @@
 package cachesim
 
-// N-tier cache hierarchy simulation, the generalization of the
-// two-level client/server network. The paper's diskless-workstation
-// architecture is RAM over disk; modern replays of the same question
-// add a flash tier in the middle (RAM over flash over disk), where two
-// new costs appear: per-tier access latency and flash write endurance.
-// This simulation replays the trace through an arbitrary stack of
-// tiers — tier 0 is each machine's local cache, every lower tier is
-// shared — and accounts blocks, busy time, and per-block write wear at
-// every level.
+// N-tier cache hierarchy simulation. The paper's diskless-workstation
+// architecture is RAM over disk (the two-level network of twolevel.go
+// is this engine's [client, server, disk] stack); modern replays of the
+// same question add a flash tier in the middle (RAM over flash over
+// disk), where two new costs appear: per-tier access latency and flash
+// write endurance. This simulation replays the trace through an
+// arbitrary stack of tiers — tier 0 is each machine's local cache,
+// every lower tier is shared — and accounts blocks, busy time, and
+// per-block write wear at every level.
 //
-// Traffic flows exactly as in the two-level case: a tier's read misses
-// become reads against the tier below, its write policy's write-backs
-// become writes below, and data-death purges are forwarded all the way
-// down so no tier caches dead blocks. The bottom tier is the backing
-// store (unbounded, usually "the disk"): everything arriving there is
-// a real device I/O.
+// A tier's read misses become reads against the tier below, its write
+// policy's write-backs become writes below, and data-death purges are
+// forwarded down to the last cache tier so no tier caches dead blocks.
+// The bottom tier is the backing store (unbounded, usually "the
+// disk"): everything arriving there is a real device I/O.
 
 import (
 	"fmt"
@@ -174,6 +173,102 @@ func mergeResolved(machineRes []*resolved, blockBase []int32, blockSize int64, n
 	return merged
 }
 
+// serverOp is one operation arriving at a shared tier. Block and file
+// identities are in the shared tiers' global dense ID space (each
+// machine's local IDs shifted by its base offset, so machines never
+// collide — machine files are distinct by construction, as trace.Merge
+// remaps them).
+type serverOp struct {
+	time trace.Time
+	kind serverOpKind
+	id   int32 // global block ID for opRead/opWrite
+	fs   int32 // global file slot for opPurge
+	size int64 // truncate purge boundary
+}
+
+type serverOpKind uint8
+
+const (
+	opRead serverOpKind = iota
+	opWrite
+	opPurge
+)
+
+// clientPass is one machine's tier-0 contribution: its local cache
+// counters and the traffic it sent below, in emission order.
+type clientPass struct {
+	res *Result
+	ops []serverOp
+}
+
+// runClient replays one machine's tape through its tier-0 cache. Read
+// misses, write-backs, and data-death purges become operations for the
+// tier below; blockBase and fileBase translate the machine's dense IDs
+// into the global ID space.
+func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32) *clientPass {
+	p := &clientPass{}
+	c := newCache(tape, r, []Config{cfg})
+	c.watch(0, func(id int32, write bool, t trace.Time) {
+		kind := opRead
+		if write {
+			kind = opWrite
+		}
+		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
+	}, nil)
+	ops := tape.Ops
+	for i := range ops {
+		op := &ops[i]
+		c.advance(op.Time)
+		switch op.Kind {
+		case xfer.OpPurge:
+			c.purge(r.opFile[i], op.Size)
+			if fs := r.opFile[i]; fs >= 0 {
+				p.ops = append(p.ops, serverOp{time: op.Time, kind: opPurge, fs: fileBase + fs, size: op.Size})
+			}
+		case xfer.OpTransfer:
+			c.transfer(op.Xfer)
+		}
+	}
+	p.res = c.finish()[0]
+	return p
+}
+
+// mergePasses interleaves the machines' traffic by time, ties broken in
+// machine order, then emission order (see mergeOps).
+func mergePasses(passes []*clientPass) []serverOp {
+	streams := make([][]serverOp, len(passes))
+	for m, p := range passes {
+		streams[m] = p.ops
+	}
+	return mergeOps(streams)
+}
+
+// mergeOps merges time-ordered streams into one, taking ties from the
+// lowest-numbered stream: the order a stable sort of the concatenated
+// streams by time gives, in one k-way pass. Each client's stream is in
+// time order because the tape's op times are nondecreasing and the
+// client clock never runs backward (TestClientStreamsTimeOrdered).
+func mergeOps(streams [][]serverOp) []serverOp {
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	out := make([]serverOp, 0, total)
+	heads := make([]int, len(streams))
+	for len(out) < total {
+		// The lowest machine among those whose next op is earliest.
+		lead := -1
+		for m, s := range streams {
+			if heads[m] < len(s) && (lead < 0 || s[heads[m]].time < streams[lead][heads[lead]].time) {
+				lead = m
+			}
+		}
+		out = append(out, streams[lead][heads[lead]])
+		heads[lead]++
+	}
+	return out
+}
+
 // replayTierOps drives a time-ordered operation stream into one shared
 // cache tier. Read misses and write-backs surface through onDisk (they
 // are this tier's traffic to the tier below); purges are applied and,
@@ -223,6 +318,15 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 // broken in machine order, then emission order), so results are
 // deterministic regardless of scheduling.
 func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*HierarchyResult, error) {
+	return simulateHierarchy(tapes, cfg, nil)
+}
+
+// simulateHierarchy is HierarchySimulateTapes with onStore, if non-nil,
+// observing every backing-store I/O as it happens: the block in the
+// global ID space, the direction, and the simulated time. Flush-back
+// write-backs carry their exact flush-boundary times (see
+// cache.flushDue).
+func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id int32, write bool, t trace.Time)) (*HierarchyResult, error) {
 	if len(tapes) == 0 {
 		return nil, fmt.Errorf("cachesim: hierarchy simulation needs at least one machine")
 	}
@@ -231,6 +335,9 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		return nil, err
 	}
 
+	// Resolve every machine's tape and lay the machines' dense block and
+	// file IDs end to end: machine m's local ID i becomes global ID
+	// blockBase[m]+i in the shared tiers.
 	machineRes := make([]*resolved, len(tapes))
 	runParallel(len(tapes), func(m int) error {
 		machineRes[m] = resolvedFor(tapes[m], cfg.BlockSize)
@@ -267,36 +374,65 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 	t0.BusyTime = cfg.Tiers[0].ReadLatency*trace.Time(t0.Reads) +
 		cfg.Tiers[0].WriteLatency*trace.Time(t0.Writes+t0.Fills)
 
+	// The backing store holds nothing, so it needs no replay: every
+	// read or write arriving there is a device I/O, counted as it
+	// arrives.
+	last := len(cfg.Tiers) - 1
+	store := &res.Tiers[last]
+	storeWear := make([]int64, nBlocks)
+	toStore := func(id int32, write bool, t trace.Time) {
+		if write {
+			store.Writes++
+			storeWear[id]++
+		} else {
+			store.Reads++
+		}
+		if onStore != nil {
+			onStore(id, write, t)
+		}
+	}
+
 	merged := mergeResolved(machineRes, blockBase, cfg.BlockSize, nBlocks, nFiles)
 	ops := mergePasses(passes)
 
-	// Shared cache tiers, top to bottom.
-	for i := 1; i < len(cfg.Tiers)-1; i++ {
+	// Shared cache tiers, top to bottom. A tier above the last cache
+	// tier queues its traffic for the tier below; the last cache tier
+	// sends its misses and write-backs straight to the store and keeps
+	// its purges, which the store would ignore.
+	for i := 1; i < last; i++ {
 		tier := cfg.Tiers[i]
 		tr := &res.Tiers[i]
 		tr.Name, tr.Size = tier.Name, tier.Size
 		wear := make([]int64, nBlocks)
-		var next []serverOp
-		out := replayTierOps(ops, merged, tierCfgs[i],
-			func(id int32, write bool, t trace.Time) {
-				kind := opRead
-				if !write {
-					// A fetch from below fills a block into this tier:
-					// one media write here, one read below.
-					wear[id]++
-				} else {
-					kind = opWrite
-				}
-				next = append(next, serverOp{time: t, kind: kind, id: id})
-			},
-			func(fs int32, size int64, t trace.Time) {
-				next = append(next, serverOp{time: t, kind: opPurge, fs: fs, size: size})
-			})
 		for j := range ops {
 			if ops[j].kind == opWrite {
 				wear[ops[j].id]++
 			}
 		}
+		var next []serverOp
+		below := toStore
+		var onPurge func(fs int32, size int64, t trace.Time)
+		if i < last-1 {
+			below = func(id int32, write bool, t trace.Time) {
+				kind := opRead
+				if write {
+					kind = opWrite
+				}
+				next = append(next, serverOp{time: t, kind: kind, id: id})
+			}
+			onPurge = func(fs int32, size int64, t trace.Time) {
+				next = append(next, serverOp{time: t, kind: opPurge, fs: fs, size: size})
+			}
+		}
+		out := replayTierOps(ops, merged, tierCfgs[i],
+			func(id int32, write bool, t trace.Time) {
+				if !write {
+					// A fetch from below fills a block into this tier:
+					// one media write here, one read below.
+					wear[id]++
+				}
+				below(id, write, t)
+			}, onPurge)
 		tr.Reads, tr.Writes = out.ReadAccesses, out.WriteAccesses
 		tr.ReadMisses, tr.WriteBacks = out.DiskReads, out.DiskWrites
 		tr.Fills = out.DiskReads
@@ -308,24 +444,19 @@ func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*Hierarchy
 		// (TestTierStreamsTimeOrdered).
 		ops = next
 	}
-
-	// Backing store: everything arriving is a device I/O.
-	last := len(cfg.Tiers) - 1
-	tier := cfg.Tiers[last]
-	tr := &res.Tiers[last]
-	tr.Name, tr.Size = tier.Name, tier.Size
-	wear := make([]int64, nBlocks)
+	// Over a two-tier stack, tier 0's traffic goes straight to the
+	// store; deeper stacks have counted theirs already and left ops
+	// empty.
 	for i := range ops {
-		switch ops[i].kind {
-		case opRead:
-			tr.Reads++
-		case opWrite:
-			tr.Writes++
-			wear[ops[i].id]++
+		if ops[i].kind != opPurge {
+			toStore(ops[i].id, ops[i].kind == opWrite, ops[i].time)
 		}
 	}
-	tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) + tier.WriteLatency*trace.Time(tr.Writes)
-	tallyWear(tr, wear, tier.EnduranceWrites)
+
+	tier := cfg.Tiers[last]
+	store.Name, store.Size = tier.Name, tier.Size
+	store.BusyTime = tier.ReadLatency*trace.Time(store.Reads) + tier.WriteLatency*trace.Time(store.Writes)
+	tallyWear(store, storeWear, tier.EnduranceWrites)
 	return res, nil
 }
 
@@ -348,24 +479,4 @@ func tallyWear(tr *TierResult, wear []int64, endurance int64) {
 	if endurance > 0 {
 		tr.WearFraction = float64(tr.MaxBlockWrites) / float64(endurance)
 	}
-}
-
-// HierarchySimulate builds one tape per machine trace and runs
-// HierarchySimulateTapes.
-func HierarchySimulate(machines [][]trace.Event, cfg HierarchyConfig) (*HierarchyResult, error) {
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("cachesim: hierarchy simulation needs at least one machine")
-	}
-	tapes := make([]*xfer.Tape, len(machines))
-	errs := make([]error, len(machines))
-	runParallel(len(machines), func(m int) error {
-		tapes[m], errs[m] = xfer.NewTape(machines[m])
-		return nil
-	})
-	for m, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: machine %d trace malformed: %v", m, err)
-		}
-	}
-	return HierarchySimulateTapes(tapes, cfg)
 }

@@ -177,25 +177,24 @@ func TestObserverBalancesDirtyLifecycle(t *testing.T) {
 // server cache big enough that nothing is ever evicted, every server
 // disk write is a flush-scan write and must land exactly on a flush
 // boundary — even when the scan came due during an idle gap in the
-// merged client traffic.
+// merged client traffic. The engine's backing-store hook observes the
+// two-level network's [client, server, disk] stack.
 func TestTwoLevelServerWritesOnFlushBoundaries(t *testing.T) {
 	const interval = 30 * trace.Second
-	machines := [][]trace.Event{randomTrace(31, 200), randomTrace(37, 200)}
-	tapes := make([]*xfer.Tape, len(machines))
-	for m, events := range machines {
-		tapes[m] = mustTape(t, events)
-	}
-	var writes []trace.Time
+	tapes := machineTapes(t, randomTrace(31, 200), randomTrace(37, 200))
 	cfg := TwoLevelConfig{
 		BlockSize:   4096,
 		ClientCache: 64 << 10,
 		ServerCache: 1 << 30, // no evictions: all disk writes are flushes
 		Write:       FlushBack, FlushInterval: interval,
-		OnServerDisk: func(id int32, write bool, tm trace.Time) {
-			if write {
-				writes = append(writes, tm)
-			}
-		},
+	}
+	var writes []trace.Time
+	if _, err := simulateHierarchy(tapes, cfg.hierarchy(), func(id int32, write bool, tm trace.Time) {
+		if write {
+			writes = append(writes, tm)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	res, err := TwoLevelSimulateTapes(tapes, cfg)
 	if err != nil {

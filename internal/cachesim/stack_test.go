@@ -17,7 +17,7 @@ func TestStackDistanceSmall(t *testing.T) {
 			b.read(f, 100)
 		}
 	}
-	r, err := StackDistances(b.events, 4096)
+	r, err := StackDistancesTape(mustTape(t, b.events), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStackDistanceRepeats(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.read(1, 100)
 	}
-	r, err := StackDistances(b.events, 4096)
+	r, err := StackDistancesTape(mustTape(t, b.events), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,18 +53,13 @@ func TestStackDistanceRepeats(t *testing.T) {
 }
 
 func TestStackDistanceBadInput(t *testing.T) {
-	if _, err := StackDistances(nil, 0); err == nil {
+	if _, err := StackDistancesTape(&xfer.Tape{}, 0); err == nil {
 		t.Errorf("zero block size accepted")
-	}
-	bad := []trace.Event{{Time: 0, Kind: trace.KindClose, OpenID: 7}}
-	if _, err := StackDistances(bad, 4096); err == nil {
-		t.Errorf("malformed trace accepted")
 	}
 }
 
 func TestStackCurveMonotone(t *testing.T) {
-	events := randomTrace(3, 400)
-	r, err := StackDistances(events, 4096)
+	r, err := StackDistancesTape(mustTape(t, randomTrace(3, 400)), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +128,7 @@ func TestStackMatchesDirectLRU(t *testing.T) {
 	f := func(seed int64, rawCap uint8) bool {
 		events := randomTrace(seed, 150)
 		capBlocks := int(rawCap%32) + 1
-		r, err := StackDistances(events, 4096)
+		r, err := StackDistancesTape(mustTape(t, events), 4096)
 		if err != nil {
 			return false
 		}
@@ -154,8 +149,8 @@ func TestStackMatchesDirectLRU(t *testing.T) {
 
 // The stack analysis bounds the full simulator from... neither side
 // exactly (the simulator skips reads for whole-block overwrites but adds
-// write-backs), but on a read-only workload with no deletions, Simulate
-// under write-through equals the stack reference misses plus nothing.
+// write-backs), but on a read-only workload with no deletions,
+// SimulateTape under write-through equals the stack reference misses plus nothing.
 func TestStackAgreesWithSimulatorReadOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := newTB()
@@ -163,11 +158,11 @@ func TestStackAgreesWithSimulatorReadOnly(t *testing.T) {
 		b.read(trace.FileID(rng.Intn(25)+1), int64(rng.Intn(30000)+1))
 	}
 	const capBytes = 64 * 4096
-	r, err := StackDistances(b.events, 4096)
+	r, err := StackDistancesTape(mustTape(t, b.events), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Simulate(b.events, Config{BlockSize: 4096, CacheSize: capBytes, Write: WriteThrough})
+	sim, err := SimulateTape(mustTape(t, b.events), Config{BlockSize: 4096, CacheSize: capBytes, Write: WriteThrough})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +181,7 @@ func TestWorkingSetSmall(t *testing.T) {
 	b.now = 60 * trace.Second
 	b.read(1, 100)
 	b.read(1, 100)
-	ws, err := WorkingSet(b.events, 4096, []trace.Time{10 * trace.Second})
+	ws, err := WorkingSetTape(mustTape(t, b.events), 4096, []trace.Time{10 * trace.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +202,7 @@ func TestWorkingSetSmall(t *testing.T) {
 }
 
 func TestWorkingSetGrowsWithWindow(t *testing.T) {
-	events := randomTrace(11, 400)
-	ws, err := WorkingSet(events, 4096, []trace.Time{10 * trace.Second, trace.Minute, 10 * trace.Minute})
+	ws, err := WorkingSetTape(mustTape(t, randomTrace(11, 400)), 4096, []trace.Time{10 * trace.Second, trace.Minute, 10 * trace.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +217,10 @@ func TestWorkingSetGrowsWithWindow(t *testing.T) {
 }
 
 func TestWorkingSetErrors(t *testing.T) {
-	if _, err := WorkingSet(nil, 0, []trace.Time{trace.Second}); err == nil {
+	if _, err := WorkingSetTape(&xfer.Tape{}, 0, []trace.Time{trace.Second}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
-	if _, err := WorkingSet(nil, 4096, []trace.Time{0}); err == nil {
+	if _, err := WorkingSetTape(&xfer.Tape{}, 4096, []trace.Time{0}); err == nil {
 		t.Errorf("zero window accepted")
-	}
-	bad := []trace.Event{{Time: 0, Kind: trace.KindClose, OpenID: 9}}
-	if _, err := WorkingSet(bad, 4096, []trace.Time{trace.Second}); err == nil {
-		t.Errorf("malformed trace accepted")
 	}
 }

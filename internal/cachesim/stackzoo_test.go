@@ -160,7 +160,7 @@ func TestStackOracleFullGrid(t *testing.T) {
 // TestStackMatchesSimulateReadOnly: on a read-only trace the full
 // simulator has nothing but reference misses to bill — no write-backs,
 // no purges, no flushes — so at every grid cell the LRU stack analysis
-// must predict Simulate's disk reads exactly. This ties the one-pass
+// must predict SimulateTape's disk reads exactly. This ties the one-pass
 // analysis to the production replay engine end to end.
 func TestStackMatchesSimulateReadOnly(t *testing.T) {
 	b := newTB()
@@ -195,7 +195,7 @@ func TestStackMatchesSimulateReadOnly(t *testing.T) {
 				t.Fatalf("bs %d cache %d: read-only trace produced %d disk writes", bs, cs, res.DiskWrites)
 			}
 			if want := sr.Misses(cs); res.DiskReads != want {
-				t.Errorf("bs %d cache %d: Simulate read %d blocks, stack analysis predicts %d",
+				t.Errorf("bs %d cache %d: SimulateTape read %d blocks, stack analysis predicts %d",
 					bs, cs, res.DiskReads, want)
 			}
 		}

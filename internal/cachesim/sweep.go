@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -52,16 +51,6 @@ func runParallel(n int, job func(i int) error) error {
 	close(next)
 	wg.Wait()
 	return firstErr
-}
-
-// sweepTape builds the throwaway tape behind the event-slice sweep
-// entry points, wrapping scan errors the way Simulate does.
-func sweepTape(events []trace.Event) (*xfer.Tape, error) {
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		return nil, fmt.Errorf("cachesim: malformed trace: %v", err)
-	}
-	return tape, nil
 }
 
 // PolicySpec names one write-policy column of the paper's Table VI.
@@ -127,15 +116,6 @@ func PolicySweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64, polic
 	return out, nil
 }
 
-// PolicySweep runs PolicySweepTape on a freshly built tape.
-func PolicySweep(events []trace.Event, blockSize int64, cacheSizes []int64, policies []PolicySpec) ([][]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return PolicySweepTape(tape, blockSize, cacheSizes, policies)
-}
-
 // BlockSizeSweepResult holds Table VII / Figure 6: disk I/Os as a
 // function of block size and cache size under delayed-write. Results is
 // indexed [blockSize][cacheSize]; Accesses[i] is the no-cache logical
@@ -172,15 +152,6 @@ func BlockSizeSweepTape(tape *xfer.Tape, blockSizes, cacheSizes []int64) (*Block
 	return out, nil
 }
 
-// BlockSizeSweep runs BlockSizeSweepTape on a freshly built tape.
-func BlockSizeSweep(events []trace.Event, blockSizes, cacheSizes []int64) (*BlockSizeSweepResult, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return BlockSizeSweepTape(tape, blockSizes, cacheSizes)
-}
-
 // PagingSweepTape regenerates Figure 7 from a tape: delayed-write miss
 // ratios across cache sizes with and without simulated program page-in.
 // The result is indexed [cacheSize][0 = ignored, 1 = simulated].
@@ -208,16 +179,7 @@ func PagingSweepTape(tape *xfer.Tape, blockSize int64, cacheSizes []int64) ([][2
 	return out, nil
 }
 
-// PagingSweep runs PagingSweepTape on a freshly built tape.
-func PagingSweep(events []trace.Event, blockSize int64, cacheSizes []int64) ([][2]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return PagingSweepTape(tape, blockSize, cacheSizes)
-}
-
-// replacementOrder fixes the policy order of ReplacementSweep.
+// replacementOrder fixes the policy order of ReplacementSweepTape.
 var replacementOrder = []Replacement{LRU, FIFO, Clock, Random}
 
 // ReplacementSweepTape runs ablation A1 over a tape: all four
@@ -244,15 +206,6 @@ func ReplacementSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, seed int6
 	return out, nil
 }
 
-// ReplacementSweep runs ReplacementSweepTape on a freshly built tape.
-func ReplacementSweep(events []trace.Event, blockSize, cacheSize int64, seed int64) (map[Replacement]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return ReplacementSweepTape(tape, blockSize, cacheSize, seed)
-}
-
 // FlushIntervalSweepTape runs ablation A2 over a tape: flush-back across
 // a range of intervals, bracketed by write-through (interval → 0) and
 // delayed-write (interval → ∞).
@@ -267,13 +220,4 @@ func FlushIntervalSweepTape(tape *xfer.Tape, blockSize, cacheSize int64, interva
 		}
 	}
 	return MultiSimulate(tape, cfgs)
-}
-
-// FlushIntervalSweep runs FlushIntervalSweepTape on a freshly built tape.
-func FlushIntervalSweep(events []trace.Event, blockSize, cacheSize int64, intervals []trace.Time) ([]*Result, error) {
-	tape, err := sweepTape(events)
-	if err != nil {
-		return nil, err
-	}
-	return FlushIntervalSweepTape(tape, blockSize, cacheSize, intervals)
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/xfer"
 )
 
-func sweepTrace() []trace.Event {
+func sweepTape(t *testing.T) *xfer.Tape {
 	b := newTB()
 	for i := 0; i < 100; i++ {
 		f := trace.FileID(i%10 + 1)
@@ -18,14 +19,14 @@ func sweepTrace() []trace.Event {
 		}
 		b.now += trace.Time(i%5) * trace.Second
 	}
-	return b.events
+	return mustTape(t, b.events)
 }
 
 func TestPolicySweepShape(t *testing.T) {
-	events := sweepTrace()
+	tape := sweepTape(t)
 	sizes := []int64{64 << 10, 1 << 20}
 	pols := PaperPolicies()
-	res, err := PolicySweep(events, 4096, sizes, pols)
+	res, err := PolicySweepTape(tape, 4096, sizes, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +52,19 @@ func TestPolicySweepShape(t *testing.T) {
 }
 
 func TestPolicySweepPropagatesErrors(t *testing.T) {
-	events := sweepTrace()
+	tape := sweepTape(t)
 	bad := []PolicySpec{{Name: "broken", Write: FlushBack}} // missing interval
-	if _, err := PolicySweep(events, 4096, []int64{1 << 20}, bad); err == nil {
+	if _, err := PolicySweepTape(tape, 4096, []int64{1 << 20}, bad); err == nil {
 		t.Errorf("invalid policy accepted")
 	}
-	if _, err := PolicySweep(events, 0, []int64{1 << 20}, PaperPolicies()); err == nil {
+	if _, err := PolicySweepTape(tape, 0, []int64{1 << 20}, PaperPolicies()); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestBlockSizeSweepShape(t *testing.T) {
-	events := sweepTrace()
-	res, err := BlockSizeSweep(events, []int64{4096, 8192}, []int64{128 << 10, 1 << 20})
+	tape := sweepTape(t)
+	res, err := BlockSizeSweepTape(tape, []int64{4096, 8192}, []int64{128 << 10, 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestBlockSizeSweepShape(t *testing.T) {
 			t.Errorf("bigger cache should not cost more I/Os")
 		}
 	}
-	if _, err := BlockSizeSweep(events, []int64{0}, []int64{1 << 20}); err == nil {
+	if _, err := BlockSizeSweepTape(tape, []int64{0}, []int64{1 << 20}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
@@ -84,7 +85,8 @@ func TestPagingSweepShape(t *testing.T) {
 	b := newTB()
 	b.exec(1, 50000)
 	b.read(2, 8192)
-	res, err := PagingSweep(b.events, 4096, []int64{1 << 20})
+	tape := mustTape(t, b.events)
+	res, err := PagingSweepTape(tape, 4096, []int64{1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +94,13 @@ func TestPagingSweepShape(t *testing.T) {
 		t.Errorf("paging mode should add accesses: %d vs %d",
 			res[0][1].LogicalAccesses, res[0][0].LogicalAccesses)
 	}
-	if _, err := PagingSweep(b.events, 0, []int64{1 << 20}); err == nil {
+	if _, err := PagingSweepTape(tape, 0, []int64{1 << 20}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestReplacementSweepCoversAll(t *testing.T) {
-	res, err := ReplacementSweep(sweepTrace(), 4096, 128<<10, 1)
+	res, err := ReplacementSweepTape(sweepTape(t), 4096, 128<<10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +116,14 @@ func TestReplacementSweepCoversAll(t *testing.T) {
 	if res[LRU].DiskIOs() > res[FIFO].DiskIOs() {
 		t.Logf("note: FIFO beat LRU on this toy trace (%d vs %d)", res[FIFO].DiskIOs(), res[LRU].DiskIOs())
 	}
-	if _, err := ReplacementSweep(sweepTrace(), 0, 1<<20, 1); err == nil {
+	if _, err := ReplacementSweepTape(sweepTape(t), 0, 1<<20, 1); err == nil {
 		t.Errorf("zero block size accepted")
 	}
 }
 
 func TestFlushIntervalSweepMonotone(t *testing.T) {
 	intervals := []trace.Time{trace.Second, 30 * trace.Second, 5 * trace.Minute}
-	res, err := FlushIntervalSweep(sweepTrace(), 4096, 256<<10, intervals)
+	res, err := FlushIntervalSweepTape(sweepTape(t), 4096, 256<<10, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestFlushIntervalSweepMonotone(t *testing.T) {
 				res[i-1].DiskWrites, res[i].DiskWrites)
 		}
 	}
-	if _, err := FlushIntervalSweep(sweepTrace(), 4096, 1<<20, []trace.Time{0}); err == nil {
+	if _, err := FlushIntervalSweepTape(sweepTape(t), 4096, 1<<20, []trace.Time{0}); err == nil {
 		t.Errorf("zero interval accepted")
 	}
 }

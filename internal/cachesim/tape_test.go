@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
 
@@ -36,14 +35,11 @@ func paperConfigs() []Config {
 // TestMultiSimulateMatchesSimulate is the tape engine's equivalence
 // oracle: for every paper configuration, replaying a shared tape through
 // MultiSimulate must produce field-for-field the same Result as an
-// independent Simulate call on the raw events (which builds and resolves
-// its own private tape).
+// independent SimulateTape call on a private tape of the same events
+// (which builds and resolves its own copy).
 func TestMultiSimulateMatchesSimulate(t *testing.T) {
 	events := randomTrace(7, 600)
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tape := mustTape(t, events)
 	cfgs := paperConfigs()
 	if len(cfgs) != 60 {
 		t.Fatalf("expected the paper's 60 configurations, got %d", len(cfgs))
@@ -53,12 +49,12 @@ func TestMultiSimulateMatchesSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := Simulate(events, cfg)
+		want, err := SimulateTape(mustTape(t, events), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(multi[i], want) {
-			t.Errorf("config %d (%+v): MultiSimulate %+v != Simulate %+v", i, cfg, multi[i], want)
+			t.Errorf("config %d (%+v): MultiSimulate %+v != SimulateTape %+v", i, cfg, multi[i], want)
 		}
 	}
 }
@@ -205,20 +201,10 @@ func TestStackOracleAgainstLRUCache(t *testing.T) {
 // TestCountTapeAccessesMatchesSimulate: the arithmetic access count must
 // agree with what a simulation actually bills.
 func TestCountTapeAccessesMatchesSimulate(t *testing.T) {
-	events := randomTrace(23, 300)
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tape := mustTape(t, randomTrace(23, 300))
 	for _, bs := range PaperBlockSizes() {
 		for _, paging := range []bool{false, true} {
-			want, err := CountBlockAccesses(events, bs, paging)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := CountTapeAccesses(tape, bs, paging); got != want {
-				t.Errorf("bs %d paging %v: tape count %d != event count %d", bs, paging, got, want)
-			}
+			want := CountTapeAccesses(tape, bs, paging)
 			r, err := SimulateTape(tape, Config{BlockSize: bs, CacheSize: 1 << 20, Write: DelayedWrite, SimulatePaging: paging})
 			if err != nil {
 				t.Fatal(err)
@@ -227,73 +213,6 @@ func TestCountTapeAccessesMatchesSimulate(t *testing.T) {
 				t.Errorf("bs %d paging %v: simulated accesses %d != count %d", bs, paging, r.LogicalAccesses, want)
 			}
 		}
-	}
-}
-
-// TestTwoLevelTapesMatchEvents: the tape-based two-level entry point
-// must agree with the event-slice one.
-func TestTwoLevelTapesMatchEvents(t *testing.T) {
-	machines := [][]trace.Event{
-		randomTrace(31, 200),
-		randomTrace(37, 200),
-		randomTrace(41, 200),
-	}
-	cfg := TwoLevelConfig{
-		BlockSize: 4096, ClientCache: 256 << 10, ServerCache: 2 << 20,
-		Write: DelayedWrite,
-	}
-	want, err := TwoLevelSimulate(machines, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tapes := make([]*xfer.Tape, len(machines))
-	for m, ev := range machines {
-		if tapes[m], err = xfer.NewTape(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := TwoLevelSimulateTapes(tapes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("TwoLevelSimulateTapes %+v != TwoLevelSimulate %+v", got, want)
-	}
-}
-
-// TestSweepTapeVariantsMatch: each event-slice sweep is a thin wrapper
-// over its tape variant; both must agree when handed the same trace.
-func TestSweepTapeVariantsMatch(t *testing.T) {
-	events := randomTrace(43, 300)
-	tape, err := xfer.NewTape(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := []int64{390 << 10, 2 << 20}
-	pols := PaperPolicies()[:2]
-
-	a, err := PolicySweep(events, 4096, sizes, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PolicySweepTape(tape, 4096, sizes, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("PolicySweep != PolicySweepTape")
-	}
-
-	ba, err := BlockSizeSweep(events, []int64{4096, 8192}, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := BlockSizeSweepTape(tape, []int64{4096, 8192}, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ba, bb) {
-		t.Error("BlockSizeSweep != BlockSizeSweepTape")
 	}
 }
 

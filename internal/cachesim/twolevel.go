@@ -1,8 +1,6 @@
 package cachesim
 
 import (
-	"fmt"
-
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
@@ -18,7 +16,8 @@ import (
 //
 // Clients write through to the server (a client crash then loses nothing,
 // which is why early network file systems made this choice); the server
-// applies any of the usual write policies against its disk.
+// applies any of the usual write policies against its disk. The network
+// is the hierarchy engine's [client, server, disk] stack.
 
 // TwoLevelConfig parameterizes the network.
 type TwoLevelConfig struct {
@@ -32,11 +31,6 @@ type TwoLevelConfig struct {
 	// through to the server); FlushInterval applies to FlushBack.
 	Write         WritePolicy
 	FlushInterval trace.Time
-	// OnServerDisk, if non-nil, observes every server disk operation:
-	// the block id in the server's global dense ID space, the direction,
-	// and the simulated time. Flush-back write-backs carry their exact
-	// flush-boundary times (see cache.flushDue).
-	OnServerDisk func(id int32, write bool, t trace.Time)
 }
 
 // TwoLevelResult reports the network's behavior at every level.
@@ -76,192 +70,33 @@ func (r *TwoLevelResult) EndToEndMissRatio() float64 {
 	return float64(r.ServerDiskIOs()) / float64(r.ClientAccesses)
 }
 
-// serverOp is one operation arriving at the server. Block and file
-// identities are in the server's global dense ID space (each machine's
-// local IDs shifted by its base offset, so machines never collide —
-// machine files are distinct by construction, as trace.Merge remaps
-// them).
-type serverOp struct {
-	time trace.Time
-	kind serverOpKind
-	id   int32 // global block ID for opRead/opWrite
-	fs   int32 // global file slot for opPurge
-	size int64 // truncate purge boundary
-}
-
-type serverOpKind uint8
-
-const (
-	opRead serverOpKind = iota
-	opWrite
-	opPurge
-)
-
-// clientPass is one machine's contribution to the simulation: its local
-// cache counters and the server traffic it generated, in emission order.
-type clientPass struct {
-	res *Result
-	ops []serverOp
-}
-
-// runClient replays one machine's tape through a write-through client
-// cache. Read misses, write-throughs, and data-death purges become
-// server operations; blockBase and fileBase translate the machine's
-// dense IDs into the server's global ID space.
-func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int32) *clientPass {
-	p := &clientPass{}
-	c := newCache(tape, r, []Config{cfg})
-	c.watch(0, func(id int32, write bool, t trace.Time) {
-		kind := opRead
-		if write {
-			kind = opWrite
-		}
-		p.ops = append(p.ops, serverOp{time: t, kind: kind, id: blockBase + id})
-	}, nil)
-	ops := tape.Ops
-	for i := range ops {
-		op := &ops[i]
-		c.advance(op.Time)
-		switch op.Kind {
-		case xfer.OpPurge:
-			c.purge(r.opFile[i], op.Size)
-			if fs := r.opFile[i]; fs >= 0 {
-				p.ops = append(p.ops, serverOp{time: op.Time, kind: opPurge, fs: fileBase + fs, size: op.Size})
-			}
-		case xfer.OpTransfer:
-			c.transfer(op.Xfer)
-		}
-	}
-	p.res = c.finish()[0]
-	return p
-}
-
-// mergePasses interleaves the clients' server traffic by time, ties
-// broken in machine order, then emission order (see mergeOps).
-func mergePasses(passes []*clientPass) []serverOp {
-	streams := make([][]serverOp, len(passes))
-	for m, p := range passes {
-		streams[m] = p.ops
-	}
-	return mergeOps(streams)
-}
-
-// mergeOps merges time-ordered streams into one, taking ties from the
-// lowest-numbered stream: the order a stable sort of the concatenated
-// streams by time gives, in one k-way pass. Each client's stream is in
-// time order because the tape's op times are nondecreasing and the
-// client clock never runs backward (TestClientStreamsTimeOrdered).
-func mergeOps(streams [][]serverOp) []serverOp {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]serverOp, 0, total)
-	heads := make([]int, len(streams))
-	for len(out) < total {
-		// The lowest machine among those whose next op is earliest.
-		lead := -1
-		for m, s := range streams {
-			if heads[m] < len(s) && (lead < 0 || s[heads[m]].time < streams[lead][heads[lead]].time) {
-				lead = m
-			}
-		}
-		out = append(out, streams[lead][heads[lead]])
-		heads[lead]++
-	}
-	return out
+// hierarchy returns the network as a tier stack: LRU write-through
+// clients over an LRU server over the disk.
+func (cfg TwoLevelConfig) hierarchy() HierarchyConfig {
+	return HierarchyConfig{BlockSize: cfg.BlockSize, Tiers: []Tier{
+		{Name: "client", Size: cfg.ClientCache, Replacement: LRU, Write: WriteThrough},
+		{Name: "server", Size: cfg.ServerCache, Replacement: LRU, Write: cfg.Write, FlushInterval: cfg.FlushInterval},
+		{Name: "disk"},
+	}}
 }
 
 // TwoLevelSimulateTapes runs one tape per machine through a local
 // write-through client cache and forwards the resulting traffic to a
-// shared server cache. The client passes run on parallel workers; the
-// server replay interleaves their traffic with a k-way merge by time,
-// ties broken in machine order, then emission order (see mergePasses),
-// so the result is deterministic regardless of worker scheduling.
+// shared server cache, as HierarchySimulateTapes does for the
+// [client, server, disk] stack.
 func TwoLevelSimulateTapes(tapes []*xfer.Tape, cfg TwoLevelConfig) (*TwoLevelResult, error) {
-	if len(tapes) == 0 {
-		return nil, fmt.Errorf("cachesim: two-level simulation needs at least one machine")
-	}
-	clientCfg := Config{BlockSize: cfg.BlockSize, CacheSize: cfg.ClientCache, Write: WriteThrough}
-	if err := clientCfg.fill(); err != nil {
+	h, err := HierarchySimulateTapes(tapes, cfg.hierarchy())
+	if err != nil {
 		return nil, err
 	}
-	serverCfg := Config{
-		BlockSize: cfg.BlockSize, CacheSize: cfg.ServerCache,
-		Write: cfg.Write, FlushInterval: cfg.FlushInterval,
-	}
-	if err := serverCfg.fill(); err != nil {
-		return nil, err
-	}
-
-	// Resolve every machine's tape and lay the machines' dense block and
-	// file IDs end to end: machine m's local ID i becomes global ID
-	// blockBase[m]+i at the server.
-	machineRes := make([]*resolved, len(tapes))
-	runParallel(len(tapes), func(m int) error {
-		machineRes[m] = resolvedFor(tapes[m], cfg.BlockSize)
-		return nil
-	})
-	blockBase := make([]int32, len(tapes))
-	fileBase := make([]int32, len(tapes))
-	var nBlocks, nFiles int32
-	for m, r := range machineRes {
-		blockBase[m] = nBlocks
-		fileBase[m] = nFiles
-		nBlocks += int32(r.nBlocks())
-		nFiles += int32(len(r.fileBlocks))
-	}
-
-	// Pass 1: each client runs its own cache.
-	passes := make([]*clientPass, len(tapes))
-	runParallel(len(tapes), func(m int) error {
-		passes[m] = runClient(tapes[m], machineRes[m], clientCfg, blockBase[m], fileBase[m])
-		return nil
-	})
-
-	res := &TwoLevelResult{Config: cfg}
-	for _, p := range passes {
-		res.ClientAccesses += p.res.LogicalAccesses
-		res.ClientReadMisses += p.res.DiskReads
-		res.WriteForwards += p.res.DiskWrites
-	}
-	res.NetworkBlocks = res.ClientReadMisses + res.WriteForwards
-
-	// Pass 2: replay the interleaved server traffic into the server
-	// cache. The server's "resolution" is the machines' concatenated:
-	// per-block file indices for purge boundaries and per-file sorted
-	// block lists, all in global IDs. Writes arrive with their data (the
-	// client has the block), so a server write miss needs no disk read.
-	srvRes := mergeResolved(machineRes, blockBase, cfg.BlockSize, nBlocks, nFiles)
-	sres := replayServer(mergePasses(passes), srvRes, serverCfg, cfg.OnServerDisk)
-	res.ServerDiskReads = sres.DiskReads
-	res.ServerDiskWrites = sres.DiskWrites
-	return res, nil
-}
-
-// replayServer drives the time-ordered server traffic into the server
-// cache: the single-shared-tier instance of replayTierOps (the server
-// is the bottom cache, so purges are not forwarded anywhere).
-func replayServer(ops []serverOp, r *resolved, cfg Config, onDisk func(id int32, write bool, t trace.Time)) *Result {
-	return replayTierOps(ops, r, cfg, onDisk, nil)
-}
-
-// TwoLevelSimulate builds one tape per machine trace and runs
-// TwoLevelSimulateTapes.
-func TwoLevelSimulate(machines [][]trace.Event, cfg TwoLevelConfig) (*TwoLevelResult, error) {
-	if len(machines) == 0 {
-		return nil, fmt.Errorf("cachesim: two-level simulation needs at least one machine")
-	}
-	tapes := make([]*xfer.Tape, len(machines))
-	errs := make([]error, len(machines))
-	runParallel(len(machines), func(m int) error {
-		tapes[m], errs[m] = xfer.NewTape(machines[m])
-		return nil
-	})
-	for m, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: machine %d trace malformed: %v", m, err)
-		}
-	}
-	return TwoLevelSimulateTapes(tapes, cfg)
+	client := &h.Tiers[0]
+	return &TwoLevelResult{
+		Config:           cfg,
+		ClientAccesses:   h.ClientAccesses,
+		ClientReadMisses: client.ReadMisses,
+		WriteForwards:    client.WriteBacks,
+		NetworkBlocks:    h.NetworkBlocks(),
+		ServerDiskReads:  h.DiskReads(),
+		ServerDiskWrites: h.DiskWrites(),
+	}, nil
 }

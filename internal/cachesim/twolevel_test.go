@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"bsdtrace/internal/trace"
+	"bsdtrace/internal/xfer"
 )
+
+// machineTapes builds one tape per machine trace.
+func machineTapes(t *testing.T, machines ...[]trace.Event) []*xfer.Tape {
+	t.Helper()
+	tapes := make([]*xfer.Tape, len(machines))
+	for m, events := range machines {
+		tapes[m] = mustTape(t, events)
+	}
+	return tapes
+}
 
 func twoMachines() [][]trace.Event {
 	a := newTB()
@@ -19,7 +30,7 @@ func twoMachines() [][]trace.Event {
 }
 
 func TestTwoLevelBasics(t *testing.T) {
-	r, err := TwoLevelSimulate(twoMachines(), TwoLevelConfig{
+	r, err := TwoLevelSimulateTapes(machineTapes(t, twoMachines()...), TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 4 << 20,
 		Write: DelayedWrite,
 	})
@@ -58,7 +69,7 @@ func TestTwoLevelBasics(t *testing.T) {
 }
 
 func TestTwoLevelServerWriteThrough(t *testing.T) {
-	r, err := TwoLevelSimulate(twoMachines(), TwoLevelConfig{
+	r, err := TwoLevelSimulateTapes(machineTapes(t, twoMachines()...), TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 4 << 20,
 		Write: WriteThrough,
 	})
@@ -77,7 +88,7 @@ func TestTwoLevelPurgePropagates(t *testing.T) {
 	a := newTB()
 	a.write(1, 8192)
 	a.unlink(1)
-	r, err := TwoLevelSimulate([][]trace.Event{a.events}, TwoLevelConfig{
+	r, err := TwoLevelSimulateTapes(machineTapes(t, a.events), TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 4 << 20,
 		Write: DelayedWrite,
 	})
@@ -90,14 +101,14 @@ func TestTwoLevelPurgePropagates(t *testing.T) {
 }
 
 func TestTwoLevelTinyClientForwardsMore(t *testing.T) {
-	machines := [][]trace.Event{randomTrace(5, 300)}
-	small, err := TwoLevelSimulate(machines, TwoLevelConfig{
+	machines := machineTapes(t, randomTrace(5, 300))
+	small, err := TwoLevelSimulateTapes(machines, TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 8192, ServerCache: 8 << 20, Write: DelayedWrite,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := TwoLevelSimulate(machines, TwoLevelConfig{
+	big, err := TwoLevelSimulateTapes(machines, TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 4 << 20, ServerCache: 8 << 20, Write: DelayedWrite,
 	})
 	if err != nil {
@@ -119,7 +130,7 @@ func TestTwoLevelMachinesDoNotCollide(t *testing.T) {
 	a.read(1, 4096)
 	b := newTB()
 	b.read(1, 4096)
-	r, err := TwoLevelSimulate([][]trace.Event{a.events, b.events}, TwoLevelConfig{
+	r, err := TwoLevelSimulateTapes(machineTapes(t, a.events, b.events), TwoLevelConfig{
 		BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 4 << 20, Write: DelayedWrite,
 	})
 	if err != nil {
@@ -131,15 +142,41 @@ func TestTwoLevelMachinesDoNotCollide(t *testing.T) {
 }
 
 func TestTwoLevelErrors(t *testing.T) {
-	if _, err := TwoLevelSimulate(nil, TwoLevelConfig{BlockSize: 4096, ClientCache: 1, ServerCache: 1}); err == nil {
+	if _, err := TwoLevelSimulateTapes(nil, TwoLevelConfig{BlockSize: 4096, ClientCache: 1, ServerCache: 1}); err == nil {
 		t.Errorf("no machines accepted")
 	}
-	good := [][]trace.Event{{{Time: 0, Kind: trace.KindUnlink, File: 1}}}
-	if _, err := TwoLevelSimulate(good, TwoLevelConfig{ClientCache: 1 << 20, ServerCache: 1 << 20}); err == nil {
+	good := machineTapes(t, []trace.Event{{Time: 0, Kind: trace.KindUnlink, File: 1}})
+	if _, err := TwoLevelSimulateTapes(good, TwoLevelConfig{ClientCache: 1 << 20, ServerCache: 1 << 20}); err == nil {
 		t.Errorf("zero block size accepted")
 	}
-	bad := [][]trace.Event{{{Time: 0, Kind: trace.KindClose, OpenID: 9}}}
-	if _, err := TwoLevelSimulate(bad, TwoLevelConfig{BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 1 << 20, Write: DelayedWrite}); err == nil {
-		t.Errorf("malformed trace accepted")
+	for _, cfg := range []TwoLevelConfig{
+		{BlockSize: 4096, ServerCache: 1 << 20},
+		{BlockSize: 4096, ClientCache: 1 << 20},
+		{BlockSize: 4096, ClientCache: 1 << 20, ServerCache: 1 << 20, Write: FlushBack},
+	} {
+		if _, err := TwoLevelSimulateTapes(good, cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
+}
+
+// BenchmarkDisklessTapes runs fsreport's four diskless configurations
+// (8 MB delayed-write server, 128 KB to 2 MB clients) over the A5, E3
+// and C4 tapes (8 h, 2 h under -short), built before the timer.
+func BenchmarkDisklessTapes(b *testing.B) {
+	var tapes []*xfer.Tape
+	for _, name := range []string{"A5", "E3", "C4"} {
+		tapes = append(tapes, profileTape(b, name))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cc := range []int64{128 << 10, 512 << 10, 1 << 20, 2 << 20} {
+			if _, err := TwoLevelSimulateTapes(tapes, TwoLevelConfig{
+				BlockSize: 4096, ClientCache: cc, ServerCache: 8 << 20, Write: DelayedWrite,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

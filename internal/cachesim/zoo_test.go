@@ -87,8 +87,8 @@ func TestConfigRejectsUnknownReplacement(t *testing.T) {
 		Write:       cachesim.DelayedWrite,
 		Replacement: cachesim.Replacement(len(cachesim.AllReplacements())),
 	}
-	if _, err := cachesim.Simulate(nil, cfg); err == nil {
-		t.Fatal("Simulate accepted an unknown replacement policy")
+	if _, err := cachesim.SimulateTape(&xfer.Tape{}, cfg); err == nil {
+		t.Fatal("SimulateTape accepted an unknown replacement policy")
 	}
 }
 

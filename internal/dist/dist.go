@@ -67,12 +67,6 @@ func (s *Source) Exp(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Source) Normal(mean, sd float64) float64 {
-	return s.rng.NormFloat64()*sd + mean
-}
-
 // LogNormal returns a log-normally distributed value parameterized by its
 // median and the sigma of the underlying normal. File sizes and open
 // durations in the traced systems are heavy-tailed with a small median,

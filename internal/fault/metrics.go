@@ -27,18 +27,3 @@ func PublishReports(reg *obs.Registry, prefix string, reps []*Report) {
 		reg.Counter(p + ".lost_bytes_total").Set(bytes)
 	}
 }
-
-// PublishMangle copies a TraceMangler's damage accounting into counters
-// under prefix — what the fault injector did to the stream, the other
-// half of the repair budget PublishRepair records.
-func PublishMangle(reg *obs.Registry, prefix string, st MangleStats) {
-	if !reg.Enabled() {
-		return
-	}
-	reg.Counter(prefix + ".seen").Set(st.Seen)
-	reg.Counter(prefix + ".emitted").Set(st.Emitted)
-	reg.Counter(prefix + ".dropped").Set(st.Dropped)
-	reg.Counter(prefix + ".duplicated").Set(st.Duplicated)
-	reg.Counter(prefix + ".flipped").Set(st.Flipped)
-	reg.Counter(prefix + ".jittered").Set(st.Jittered)
-}

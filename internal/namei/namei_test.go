@@ -6,6 +6,7 @@ import (
 	"bsdtrace/internal/cachesim"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
+	"bsdtrace/internal/xfer"
 )
 
 func TestResolveColdAndWarm(t *testing.T) {
@@ -132,7 +133,11 @@ func TestMetadataVersusDataIO(t *testing.T) {
 	if hit < 0.70 || hit > 0.999 {
 		t.Errorf("name cache hit ratio = %.3f, want high (Leffler: ~0.85)", hit)
 	}
-	data, err := cachesim.Simulate(res.Events, cachesim.Config{
+	tape, err := xfer.NewTape(res.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := cachesim.SimulateTape(tape, cachesim.Config{
 		BlockSize: 4096, CacheSize: cachesim.UnixCacheSize,
 		Write: cachesim.FlushBack, FlushInterval: 30 * trace.Second,
 	})

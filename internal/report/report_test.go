@@ -10,6 +10,7 @@ import (
 	"bsdtrace/internal/cachesim"
 	"bsdtrace/internal/trace"
 	"bsdtrace/internal/workload"
+	"bsdtrace/internal/xfer"
 )
 
 func TestTableRender(t *testing.T) {
@@ -137,15 +138,19 @@ func TestPaperBuilders(t *testing.T) {
 
 	sizes := []int64{cachesim.UnixCacheSize, 1 << 20, 2 << 20, 4 << 20}
 	pols := cachesim.PaperPolicies()
-	policy, err := cachesim.PolicySweep(res.Events, 4096, sizes, pols)
+	tape, err := xfer.NewTape(res.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := cachesim.BlockSizeSweep(res.Events, []int64{4096, 8192, 16384}, []int64{400 << 10, 2 << 20, 4 << 20})
+	policy, err := cachesim.PolicySweepTape(tape, 4096, sizes, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paging, err := cachesim.PagingSweep(res.Events, 4096, sizes)
+	block, err := cachesim.BlockSizeSweepTape(tape, []int64{4096, 8192, 16384}, []int64{400 << 10, 2 << 20, 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paging, err := cachesim.PagingSweepTape(tape, 4096, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
