@@ -465,7 +465,7 @@ func BenchmarkAblationFragmentation(b *testing.B) {
 	benchSetup(b)
 	var noFrag, withFrag float64
 	for i := 0; i < b.N; i++ {
-		rows, err := ffs.WasteSweep(benchA5, []int64{4096, 16384})
+		rows, err := ffs.WasteSweepSource(trace.NewSliceSource(benchA5), []int64{4096, 16384})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,8 +25,10 @@ func writeTestTrace(t *testing.T, text bool) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteText(f, res.Events); err != nil {
-			t.Fatal(err)
+		for _, e := range res.Events {
+			if _, err := fmt.Fprintln(f, e); err != nil {
+				t.Fatal(err)
+			}
 		}
 		f.Close()
 	} else if err := trace.WriteFile(path, res.Events); err != nil {

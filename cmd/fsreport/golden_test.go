@@ -35,7 +35,7 @@ var goldenNumbers = []struct {
 }
 
 // TestGoldenReport regenerates the full 8-hour seed-1 report — on the
-// streaming spill-file path — and holds it to the committed golden file.
+// streaming fan-out path — and holds it to the committed golden file.
 // The spot checks run first so a drift names the value that moved; the
 // byte comparison then catches everything else, including formatting.
 func TestGoldenReport(t *testing.T) {

@@ -6,16 +6,17 @@
 // nearly indistinguishable results).
 //
 // The run is built for scale: each machine's trace is generated exactly
-// once, streamed into a spill file in a temp directory, and every consumer
-// — the reference-pattern analyzer, the transfer-tape builder, the
-// fragmentation replay, the merged-server section — re-reads the spill
-// file as a stream. No trace is ever materialized in memory, so -scale
-// and -shards can push the fleet far past what a slice-of-events design
-// could hold; -shards N additionally generates each machine's population
-// as N concurrent shards merged into one deterministic stream. Every
-// cache simulation replays the A5 transfer tape (xfer.Tape), built once
-// during the analyzer's pass and shared by all configurations; -only runs
-// only the simulations the requested item needs.
+// once and teed to every consumer concurrently (trace.Fanout) — the
+// reference-pattern analyzer, the transfer-tape builder, the
+// fragmentation replay, the merged-server section — each reading it as
+// a stream. No trace is ever materialized in memory or spilled to disk,
+// so -scale and -shards can push the fleet far past what a
+// slice-of-events design could hold; -shards N additionally generates
+// each machine's population as N concurrent shards merged into one
+// deterministic stream. Every cache simulation replays the A5 transfer
+// tape (xfer.Tape), built once during the analyzer's pass and shared by
+// all configurations; -only runs only the simulations the requested item
+// needs.
 //
 // Usage:
 //
@@ -33,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -240,58 +240,6 @@ func parallel(n int, job func(i int) error) error {
 	return firstErr
 }
 
-// generateSpill streams one machine's trace into a binary spill file,
-// under a per-machine generation span when observation is on, and
-// returns the generation result (Events nil — the trace lives on disk).
-func generateSpill(cfg workload.Config, path string, reg *obs.Registry) (*workload.Result, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	w := trace.NewWriter(f)
-	sink := w.Write
-	var sp *obs.Span
-	if reg.Enabled() {
-		sp = reg.StartSpan("generate/" + cfg.Profile)
-		sink = func(e trace.Event) error { sp.AddOut(1); return w.Write(e) }
-	}
-	res, err := workload.GenerateStream(cfg, sink)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		if st, err := os.Stat(path); err == nil {
-			sp.AddBytes(st.Size())
-		}
-		sp.End()
-	}
-	workload.PublishStats(reg, "kernel."+cfg.Profile, res.KernelStats)
-	return res, nil
-}
-
-// openTrace opens a spill file for one streaming pass. The caller closes
-// the file when the pass ends.
-func openTrace(path string) (*trace.Reader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return r, f, nil
-}
-
 // runStability regenerates the A5 workload with n different seeds on
 // parallel workers and reports the spread of the headline metrics: the
 // reproduction's shapes are properties of the workload model, not of one
@@ -373,30 +321,19 @@ func runStability(w io.Writer, duration time.Duration, baseSeed int64, n int) er
 }
 
 // runDegrade is the loss-sensitivity sweep: how much trace damage can
-// the headline numbers absorb? The A5 trace is generated once into a
-// spill file; each sweep rate re-reads it through the fault-injecting
-// mangler (drop-only — silently discarded records, the damage mode a
-// real degraded tracer produces) and the self-healing recovery layer,
-// then re-runs the reference-pattern analyzer and the four Table VI
-// write-policy simulations. The table reports each headline value's
-// drift against the clean baseline, plus the repair budget the recovery
-// layer spent getting there. Rates run on parallel workers; results
+// the headline numbers absorb? The A5 trace is generated once and teed
+// to one consumer per sweep rate (trace.Fanout); each consumer reads it
+// through the fault-injecting mangler (drop-only — silently discarded
+// records, the damage mode a real degraded tracer produces) and the
+// self-healing recovery layer, then re-runs the reference-pattern
+// analyzer and the four Table VI write-policy simulations. The table
+// reports each headline value's drift against the clean baseline, plus
+// the repair budget the recovery layer spent getting there. Every
+// consumer is drained by its own goroutine, as the tee requires; results
 // land in rate-ordered slots, so the output is deterministic.
 func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 	rates := []float64{0, 0.0001, 0.001, 0.01, 0.05}
 	policies := cachesim.PaperPolicies()
-
-	spillDir, err := os.MkdirTemp("", "fsreport-degrade")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(spillDir)
-	path := filepath.Join(spillDir, "a5.trace")
-	if _, err := generateSpill(workload.Config{
-		Profile: "A5", Seed: seed, Duration: trace.Time(duration.Milliseconds()),
-	}, path, nil); err != nil {
-		return err
-	}
 
 	type degradeRow struct {
 		seq    float64 // sequential runs among read-only accesses (%)
@@ -407,13 +344,8 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		repair trace.RepairStats
 	}
 	rows := make([]*degradeRow, len(rates))
-	if err := parallel(len(rates), func(i int) error {
-		r, f, err := openTrace(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		var src trace.Source = r
+	errs := make([]error, len(rates))
+	degrade := func(i int, src trace.Source) error {
 		var mg *fault.TraceMangler
 		if rates[i] > 0 {
 			// Per-rate seed: each rate damages different records, so the
@@ -467,8 +399,35 @@ func runDegrade(w io.Writer, duration time.Duration, seed int64) error {
 		}
 		rows[i] = row
 		return nil
-	}); err != nil {
+	}
+
+	tee := trace.NewFanout(len(rates))
+	var wg sync.WaitGroup
+	for i := range rates {
+		sub := tee.Source(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer sub.Cancel()
+			errs[i] = degrade(i, sub)
+		}()
+	}
+	_, err := workload.GenerateStream(workload.Config{
+		Profile: "A5", Seed: seed, Duration: trace.Time(duration.Milliseconds()),
+	}, tee.Write)
+	if err == trace.ErrFanoutDone {
+		// Every consumer stopped early and holds its own error.
+		err = nil
+	}
+	tee.Close(err)
+	wg.Wait()
+	if err != nil {
 		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 
 	rateLabel := func(rate float64) string {

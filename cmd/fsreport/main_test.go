@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,24 @@ func TestRunStability(t *testing.T) {
 	}
 }
 
+// TestDegradeGolden holds the 1-hour seed-1 loss-sensitivity sweep to
+// its committed output, which the sweep produced when it still re-read
+// the A5 trace from a spill file: generating once into a tee must not
+// change a digit.
+func TestDegradeGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "degrade-1h-seed1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runDegrade(&buf, time.Hour, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("-degrade -duration 1h output differs from testdata/degrade-1h-seed1.txt:\n%s", buf.Bytes())
+	}
+}
+
 // TestRunDegrade exercises the loss-sensitivity sweep: both tables
 // render, the clean row carries a zero repair budget, and the lossy rows
 // show the mangler actually discarding records.
@@ -129,7 +148,7 @@ func TestRunDegrade(t *testing.T) {
 	}
 }
 
-// TestRunLenientFlagPassesClean: -lenient over undamaged spills is a
+// TestRunLenientFlagPassesClean: -lenient over undamaged streams is a
 // no-op — the report renders the same sections as strict mode.
 func TestRunLenientFlagPassesClean(t *testing.T) {
 	var strict, lenient bytes.Buffer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -244,6 +245,68 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		if _, err := decodeCheckpoint(mut, cfg); err == nil {
 			t.Fatalf("bit flip at %d accepted past the CRC", i)
 		}
+	}
+}
+
+// TestResumeRefusesVersion1State: testdata/state-v1.ckpt is a state
+// file a daemon wrote (profile C4, seed 1, 1h) before the analyzer's
+// stream checkpoint went to version 2. Resuming from it must fail with
+// the stream version error, exit 1 before serving, and leave the file
+// as it was.
+func TestResumeRefusesVersion1State(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "state-v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(t.TempDir(), "state.ckpt")
+	if err := os.WriteFile(state, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const versionErr = "stream state version 1, want 2"
+	cfg := config{profile: "C4", seed: 1, duration: trace.Hour, scale: 1, shards: 1, interval: 1024}
+	if _, err := loadCheckpoint(state, cfg); err == nil || !strings.Contains(err.Error(), versionErr) {
+		t.Fatalf("loadCheckpoint = %v, want the stream version error", err)
+	}
+
+	// run reports resume failures on os.Stderr; capture it.
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	saved := os.Stderr
+	os.Stderr = stderr
+	code := run([]string{"-addr", "127.0.0.1:0", "-profile", "C4", "-seed", "1", "-duration", "1h",
+		"-resume", "-state", state}, stdout)
+	os.Stderr = saved
+	if code != 1 {
+		t.Fatalf("fstraced -resume exited %d, want 1", code)
+	}
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(msg), versionErr) {
+		t.Fatalf("stderr = %q, want the stream version error", msg)
+	}
+	out, err := os.ReadFile(stdout.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(out), "resuming") || strings.Contains(string(out), "serving") {
+		t.Fatalf("daemon resumed from a version-1 state file: %q", out)
+	}
+	after, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, orig) {
+		t.Fatal("refused state file was modified")
 	}
 }
 

@@ -238,13 +238,6 @@ type fileShare struct {
 	accesses int64
 }
 
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
 // activityAccum buckets user activity at one interval width.
 type activityAccum struct {
 	width   trace.Time
@@ -362,9 +355,15 @@ type Stream struct {
 	lives     map[trace.FileID]*lifeState
 	shares    map[trace.FileID]*fileShare
 
-	sc      *xfer.Scanner
-	counter *countingWriter
-	enc     *trace.Writer
+	sc *xfer.Scanner
+
+	// recBytes is the length of the binary records of the events fed so
+	// far and prev the delta base of the next one, so the trace's
+	// EncodedSize is trace.HeaderLen + recBytes. rec is the reused
+	// record buffer.
+	recBytes int64
+	prev     trace.Time
+	rec      []byte
 
 	finished bool
 }
@@ -388,9 +387,7 @@ func NewStream(opts Options) *Stream {
 		openUser:    make(map[trace.OpenID]trace.UserID),
 		lives:       make(map[trace.FileID]*lifeState),
 		shares:      make(map[trace.FileID]*fileShare),
-		counter:     &countingWriter{},
 	}
-	s.enc = trace.NewWriter(s.counter)
 
 	an := s.an
 	s.sc = xfer.NewScanner()
@@ -447,6 +444,17 @@ func (s *Stream) die(f trace.FileID, t trace.Time) {
 	delete(s.lives, f)
 }
 
+// size adds e's binary record to the trace's encoded size. An event of
+// an invalid kind has no record: it adds nothing and leaves the delta
+// base where it was, as a Writer would.
+func (s *Stream) size(e trace.Event) {
+	if rec, err := trace.AppendRecord(s.rec[:0], s.prev, e); err == nil {
+		s.rec = rec
+		s.recBytes += int64(len(rec))
+		s.prev = e.Time
+	}
+}
+
 // Feed analyzes one event. Events must arrive in time order.
 func (s *Stream) Feed(e trace.Event) {
 	an := s.an
@@ -454,7 +462,7 @@ func (s *Stream) Feed(e trace.Event) {
 	if e.Time > an.Overall.Duration {
 		an.Overall.Duration = e.Time
 	}
-	s.enc.Write(e)
+	s.size(e)
 
 	// Sharing: record which users touch which files.
 	switch e.Kind {
@@ -527,11 +535,7 @@ func (s *Stream) Snapshot() *Analysis {
 	}
 	an := *s.an
 	an.Overall.UnclosedOpens = s.sc.OpenCount()
-	// Flushing the encoder only drains its buffer into the byte counter;
-	// the encoding of later events is unaffected.
-	if err := s.enc.Flush(); err == nil {
-		an.Overall.EncodedSize = s.counter.n
-	}
+	an.Overall.EncodedSize = trace.HeaderLen + s.recBytes
 
 	const censored = 1e18
 	lifeFiles := s.lifeFiles.Clone()
@@ -582,9 +586,7 @@ func (s *Stream) Finish() *Analysis {
 	s.finished = true
 	an := s.an
 	an.Overall.UnclosedOpens = s.sc.Finish()
-	if err := s.enc.Flush(); err == nil {
-		an.Overall.EncodedSize = s.counter.n
-	}
+	an.Overall.EncodedSize = trace.HeaderLen + s.recBytes
 
 	// Censor survivors into the top bucket so the by-files and by-bytes
 	// CDFs are normalized over all new files, as Figure 4 is.
@@ -653,10 +655,4 @@ func AnalyzeSource(src trace.Source, opts Options) (*Analysis, error) {
 		}
 	}
 	return s.Finish(), nil
-}
-
-// AnalyzeReader analyzes a binary trace stream. It is AnalyzeSource under
-// its historical name.
-func AnalyzeReader(r *trace.Reader, opts Options) (*Analysis, error) {
-	return AnalyzeSource(r, opts)
 }

@@ -299,12 +299,12 @@ func TestAnalyzeReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeReader(r, Options{})
+	a, err := AnalyzeSource(r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Overall.Counts.Total != 2 || a.Overall.BytesRead != 100 {
-		t.Errorf("AnalyzeReader result wrong: %+v", a.Overall)
+		t.Errorf("AnalyzeSource(reader) result wrong: %+v", a.Overall)
 	}
 }
 
@@ -389,7 +389,14 @@ func TestTopFiles(t *testing.T) {
 		open(70, 4, 3, 10, trace.ReadOnly, 900),
 		closeEv(80, 4, 900),
 	}
-	top := TopFiles(events, 2)
+	topFiles := func(n int) []FileStat {
+		a := NewTopAccum()
+		for _, e := range events {
+			a.Feed(e)
+		}
+		return a.Top(n)
+	}
+	top := topFiles(2)
 	if len(top) != 2 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -401,7 +408,7 @@ func TestTopFiles(t *testing.T) {
 		t.Errorf("top[1] = %+v", top[1])
 	}
 	// Unlimited.
-	all := TopFiles(events, 0)
+	all := topFiles(0)
 	if len(all) != 3 {
 		t.Errorf("all = %d files", len(all))
 	}

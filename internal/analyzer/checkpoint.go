@@ -13,21 +13,22 @@ import (
 //
 // MarshalBinary captures the complete incremental state of an unfinished
 // Stream — histograms, activity accumulators, the open/live/share
-// tables, the transfer scanner, and the encoder position that backs
-// EncodedSize — and RestoreStream rebuilds a Stream from it. The restore
-// invariant, pinned by TestStreamCheckpointRoundTrip, is byte-exactness:
-// feeding events e(n+1)..e(N) into a Stream restored at position n and
-// finishing produces an Analysis (and a rendered report) identical to
-// feeding e(1)..e(N) into one Stream without interruption. Floating-point
-// state round-trips through exact bit patterns, and all maps are
-// serialized in sorted key order, so the blob itself is a deterministic
-// function of the stream's state.
+// tables, the transfer scanner, and the record bytes and delta base that
+// back EncodedSize — and RestoreStream rebuilds a Stream from it. The
+// restore invariant, pinned by TestStreamCheckpointRoundTrip, is
+// byte-exactness: feeding events e(n+1)..e(N) into a Stream restored at
+// position n and finishing produces an Analysis (and a rendered report)
+// identical to feeding e(1)..e(N) into one Stream without interruption.
+// Floating-point state round-trips through exact bit patterns, and all
+// maps are serialized in sorted key order, so the blob itself is a
+// deterministic function of the stream's state.
 //
 // The format is a versioned byte string read with bounds-checked
 // decoders: RestoreStream never panics on corrupt input (fuzzed by
-// FuzzRestoreStream), it returns an error.
+// FuzzRestoreStream), it returns an error. A blob of any version other
+// than streamStateVersion is refused.
 
-const streamStateVersion = 1
+const streamStateVersion = 2
 
 // ErrFinished reports an attempt to checkpoint a Stream after Finish:
 // finishing consumes the incremental state (censored lifetimes, flushed
@@ -122,12 +123,6 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	if s.finished {
 		return nil, ErrFinished
 	}
-	// Drain the encoder so the byte counter is exact. This flushes an
-	// internal buffer only; the encoding of later events is unaffected.
-	if err := s.enc.Flush(); err != nil {
-		return nil, err
-	}
-
 	buf := stats.AppendUvarint(nil, streamStateVersion)
 
 	// Partial Analysis scalars (CDFs and finish-time fields are derived).
@@ -212,13 +207,10 @@ func (s *Stream) MarshalBinary() ([]byte, error) {
 	// Transfer scanner.
 	buf = s.sc.AppendState(buf)
 
-	// Encoder position: byte count and delta base, so EncodedSize stays
-	// continuous across a restore.
-	buf = stats.AppendVarint(buf, s.counter.n)
-	wst := s.enc.State()
-	buf = stats.AppendVarint(buf, wst.Count)
-	buf = stats.AppendVarint(buf, int64(wst.Prev))
-	return appendBool(buf, wst.Begun), nil
+	// Record bytes and delta base, so EncodedSize stays continuous
+	// across a restore.
+	buf = stats.AppendVarint(buf, s.recBytes)
+	return stats.AppendVarint(buf, int64(s.prev)), nil
 }
 
 // histograms returns the stream's histograms in serialization order.
@@ -395,23 +387,13 @@ func RestoreStream(data []byte, opts Options) (*Stream, error) {
 		return nil, err
 	}
 
-	if s.counter.n, buf, err = stats.DecodeVarint(buf); err != nil {
-		return nil, err
-	}
-	var wst trace.WriterState
-	if wst.Count, buf, err = stats.DecodeVarint(buf); err != nil {
+	if s.recBytes, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
 	if x, buf, err = stats.DecodeVarint(buf); err != nil {
 		return nil, err
 	}
-	wst.Prev = trace.Time(x)
-	if wst.Begun, buf, err = decodeBool(buf); err != nil {
-		return nil, err
-	}
-	if err := s.enc.SetState(wst); err != nil {
-		return nil, err
-	}
+	s.prev = trace.Time(x)
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("analyzer: %d trailing bytes after stream state", len(buf))
 	}

@@ -2,7 +2,10 @@ package analyzer
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bsdtrace/internal/trace"
@@ -42,6 +45,83 @@ func TestStreamCheckpointRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut %d: restored Finish differs from uninterrupted Finish", k)
 		}
+	}
+}
+
+// TestEncodedSizeAcrossCheckpoints cuts a short trace at every point:
+// the restored stream reports, at the cut, the size of the prefix a
+// version-1 Writer writes, and after the rest, the size of the whole
+// trace.
+func TestEncodedSizeAcrossCheckpoints(t *testing.T) {
+	events := snapshotTrace(t)[:300]
+	sizes := make([]int64, len(events)+1) // written length of events[:k]
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for k := 0; ; k++ {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sizes[k] = int64(buf.Len())
+		if k == len(events) {
+			break
+		}
+		if err := w.Write(events[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range sizes {
+		s := NewStream(Options{})
+		for _, e := range events[:k] {
+			s.Feed(e)
+		}
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatalf("cut %d: MarshalBinary: %v", k, err)
+		}
+		restored, err := RestoreStream(blob, Options{})
+		if err != nil {
+			t.Fatalf("cut %d: RestoreStream: %v", k, err)
+		}
+		if got := restored.Snapshot().Overall.EncodedSize; got != sizes[k] {
+			t.Fatalf("cut %d: restored EncodedSize = %d, Writer wrote %d", k, got, sizes[k])
+		}
+		for _, e := range events[k:] {
+			restored.Feed(e)
+		}
+		if got := restored.Finish().Overall.EncodedSize; got != sizes[len(events)] {
+			t.Fatalf("cut %d: finished EncodedSize = %d, Writer wrote %d", k, got, sizes[len(events)])
+		}
+	}
+}
+
+// TestRestoreStreamRefusesVersion1: testdata/stream-v1.bin was written
+// by the version-1 format, which stored a whole encoder position where
+// version 2 stores two varints. It is refused with the version error,
+// never misread.
+func TestRestoreStreamRefusesVersion1(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "stream-v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RestoreStream(blob, Options{})
+	if err == nil || !strings.Contains(err.Error(), "stream state version 1, want 2") {
+		t.Fatalf("RestoreStream(version-1 blob) = %v, want the version error", err)
+	}
+}
+
+// TestSizeZeroAllocs: after warm-up, sizing an event's record allocates
+// nothing.
+func TestSizeZeroAllocs(t *testing.T) {
+	events := snapshotTrace(t)
+	s := NewStream(Options{})
+	size := func() {
+		for _, e := range events {
+			s.size(e)
+		}
+	}
+	size() // warm-up: the record buffer
+	if avg := testing.AllocsPerRun(5, size); avg != 0 {
+		t.Errorf("%v allocs per %d-event pass, want 0", avg, len(events))
 	}
 }
 

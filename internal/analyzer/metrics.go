@@ -130,15 +130,3 @@ func CheckSection(section string, c trace.Class) error {
 	}
 	return &UnsupportedClassError{Metric: section, Class: c}
 }
-
-// AnalyzeClassed runs the logical battery over a source, first checking
-// that the source's declared class supports it: feeding a block or page
-// trace through the Section-5 analysis would silently misread transfer
-// triples as real open/close behavior, so the gate fails with a typed
-// error instead.
-func AnalyzeClassed(src trace.Source, opts Options) (*Analysis, error) {
-	if err := LogicalMetrics.Check(trace.SourceClass(src)); err != nil {
-		return nil, err
-	}
-	return AnalyzeSource(src, opts)
-}

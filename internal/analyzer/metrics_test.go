@@ -83,18 +83,18 @@ func TestCheckSection(t *testing.T) {
 	}
 }
 
-// TestAnalyzeClassedGate feeds a real block-class adapter into the
-// logical battery and demands the typed refusal, then confirms a logical
-// source still analyzes.
+// TestAnalyzeClassedGate puts a real block-class adapter through the
+// logical battery's class gate and demands the typed refusal, then
+// confirms a logical source passes the gate and analyzes.
 func TestAnalyzeClassedGate(t *testing.T) {
 	src, err := adapt.NewSource(adapt.FormatBlockCSV, strings.NewReader(
 		"1000,host,0,Read,0,4096\n2000,host,0,Write,4096,4096\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = AnalyzeClassed(src, Options{})
+	err = LogicalMetrics.Check(src.Class())
 	if !errors.Is(err, ErrUnsupportedClass) {
-		t.Fatalf("AnalyzeClassed(block source) = %v, want ErrUnsupportedClass", err)
+		t.Fatalf("LogicalMetrics.Check(block source) = %v, want ErrUnsupportedClass", err)
 	}
 	var uce *UnsupportedClassError
 	if !errors.As(err, &uce) || uce.Class != trace.ClassBlock {
@@ -105,9 +105,12 @@ func TestAnalyzeClassedGate(t *testing.T) {
 		{Time: 0, Kind: trace.KindOpen, OpenID: 1, File: 1, User: 1, Mode: trace.ReadOnly, Size: 100},
 		{Time: 10, Kind: trace.KindClose, OpenID: 1, NewPos: 100},
 	}
-	an, err := AnalyzeClassed(trace.NewSliceSource(events), Options{})
+	if err := LogicalMetrics.Check(trace.ClassLogical); err != nil {
+		t.Fatalf("LogicalMetrics.Check(logical source) = %v", err)
+	}
+	an, err := AnalyzeSource(trace.NewSliceSource(events), Options{})
 	if err != nil {
-		t.Fatalf("AnalyzeClassed(logical source) = %v", err)
+		t.Fatal(err)
 	}
 	if an.Overall.Counts.Total != 2 {
 		t.Fatalf("analysis saw %d events, want 2", an.Overall.Counts.Total)

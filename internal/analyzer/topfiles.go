@@ -10,7 +10,7 @@ import (
 // FileStat summarizes one file's activity over a trace: the raw material
 // for "which files are the hot ones" questions. The paper observed that a
 // few megabyte-scale administrative files absorb almost 20% of all
-// accesses (Figure 2); TopFiles makes such files visible individually.
+// accesses (Figure 2); TopAccum makes such files visible individually.
 // Traces carry only file identifiers, as the 1985 traces did, so files
 // are reported by id plus their observable properties.
 type FileStat struct {
@@ -113,14 +113,4 @@ func (a *TopAccum) Top(n int) []FileStat {
 		out = out[:n]
 	}
 	return out
-}
-
-// TopFiles returns per-file statistics for the n most-accessed files of
-// an in-memory trace. It is a TopAccum fed from a slice.
-func TopFiles(events []trace.Event, n int) []FileStat {
-	a := NewTopAccum()
-	for _, e := range events {
-		a.Feed(e)
-	}
-	return a.Top(n)
 }

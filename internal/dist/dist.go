@@ -5,10 +5,9 @@
 // created from an explicit seed, so a given seed reproduces a byte-identical
 // trace and therefore identical tables and figures. The samplers cover the
 // distributions the workload model needs: exponential inter-arrival times,
-// log-normal file sizes, Pareto tails for the occasional very large file,
-// Zipf-like popularity for shared files and programs, and arbitrary
-// empirical (weighted-choice) distributions for everything measured rather
-// than modeled.
+// log-normal file sizes, Zipf-like popularity for shared files and
+// programs, and arbitrary empirical (weighted-choice) distributions for
+// everything measured rather than modeled.
 package dist
 
 import (
@@ -76,19 +75,6 @@ func (s *Source) LogNormal(median, sigma float64) float64 {
 		return 0
 	}
 	return median * math.Exp(s.rng.NormFloat64()*sigma)
-}
-
-// Pareto returns a Pareto-distributed value with the given minimum and
-// shape alpha. Smaller alpha means a heavier tail; alpha <= 0 returns min.
-func (s *Source) Pareto(min, alpha float64) float64 {
-	if alpha <= 0 || min <= 0 {
-		return min
-	}
-	u := s.rng.Float64()
-	for u == 0 {
-		u = s.rng.Float64()
-	}
-	return min / math.Pow(u, 1/alpha)
 }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent theta > 1

@@ -86,19 +86,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoProperties(t *testing.T) {
-	s := NewSource(11)
-	for i := 0; i < 10000; i++ {
-		x := s.Pareto(100, 1.2)
-		if x < 100 {
-			t.Fatalf("Pareto sample %v below min", x)
-		}
-	}
-	if got := s.Pareto(100, 0); got != 100 {
-		t.Errorf("Pareto with alpha<=0 = %v, want min", got)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	s := NewSource(13)
 	z := NewZipf(s, 1.5, 100)

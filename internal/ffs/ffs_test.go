@@ -248,7 +248,7 @@ func TestFragmentsNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := WasteSweep(res.Events, []int64{4096, 8192, 16384})
+	rows, err := WasteSweepSource(trace.NewSliceSource(res.Events), []int64{4096, 8192, 16384})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +274,16 @@ func TestFragmentsNeverWorse(t *testing.T) {
 	}
 }
 
+// replay runs a trace's file population against a fresh disk with the
+// given geometry.
+func replay(events []trace.Event, geo Geometry) (*ReplayResult, error) {
+	ops, err := populationOps(trace.NewSliceSource(events))
+	if err != nil {
+		return nil, err
+	}
+	return replayPop(ops, geo)
+}
+
 func TestReplayTracksPopulation(t *testing.T) {
 	events := []trace.Event{
 		// Pre-existing file seen at open: allocated at its size.
@@ -286,7 +296,7 @@ func TestReplayTracksPopulation(t *testing.T) {
 		// Truncation shrinks in place.
 		{Time: 50, Kind: trace.KindTruncate, File: 1, Size: 1000},
 	}
-	res, err := Replay(events, Geometry{BlockSize: 4096, FragSize: 512, Groups: 2, BlocksPerGroup: 64})
+	res, err := replay(events, Geometry{BlockSize: 4096, FragSize: 512, Groups: 2, BlocksPerGroup: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,7 @@ func TestReplayRejectsMalformed(t *testing.T) {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindClose, OpenID: 9, NewPos: 0},
 	}
-	if _, err := Replay(events, smallGeo); err == nil {
+	if _, err := replay(events, smallGeo); err == nil {
 		t.Errorf("malformed trace accepted")
 	}
 }

@@ -145,21 +145,11 @@ func replayWith(ops []popOp, geo Geometry, realloc func(*Disk, *File, int64) (*F
 	return res, nil
 }
 
-// Replay runs a trace's file population against a fresh disk with the
-// given geometry.
-func Replay(events []trace.Event, geo Geometry) (*ReplayResult, error) {
-	ops, err := populationOps(trace.NewSliceSource(events))
-	if err != nil {
-		return nil, err
-	}
-	return replayPop(ops, geo)
-}
-
-// WasteSweep replays the trace across block sizes, with fragments (FFS
-// style, 8 per block where the block size allows) and without (the old
-// file system's whole-block allocation), reporting the internal
-// fragmentation of each configuration. The geometry is sized from the
-// trace's own peak so no run fails for space.
+// WasteSweepRow is one block size's result of WasteSweepSource, which
+// replays the trace across block sizes, with fragments (FFS style, 8 per
+// block where the block size allows) and without (the old file system's
+// whole-block allocation), reporting the internal fragmentation of each
+// configuration.
 type WasteSweepRow struct {
 	BlockSize   int64
 	FragWaste   float64 // waste fraction with FFS fragments
@@ -167,12 +157,6 @@ type WasteSweepRow struct {
 	FragAlloc   int64
 	NoFragAlloc int64
 	DataBytes   int64
-}
-
-// WasteSweep runs the §6.3 experiment over an in-memory trace. It is
-// WasteSweepSource over a slice.
-func WasteSweep(events []trace.Event, blockSizes []int64) ([]WasteSweepRow, error) {
-	return WasteSweepSource(trace.NewSliceSource(events), blockSizes)
 }
 
 // WasteSweepSource runs the §6.3 experiment over an event stream. The
@@ -231,7 +215,7 @@ func wasteSweepOps(ops []popOp, blockSizes []int64) ([]WasteSweepRow, error) {
 	return rows, nil
 }
 
-// sweepGeometries returns the disks WasteSweep replays: for block size
+// sweepGeometries returns the disks WasteSweepSource replays: for block size
 // i, slot 2i is FFS style — fragments of an eighth of a block but at
 // least 512 bytes — and slot 2i+1 whole blocks only; both have 16
 // cylinder groups of 64 MB each.

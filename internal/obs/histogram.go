@@ -49,15 +49,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// LinearBuckets returns n bounds start, start+width, ....
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExpBuckets returns n bounds start, start*factor, start*factor², ....
 func ExpBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)

@@ -68,6 +68,15 @@ func checkQuantiles(t *testing.T, h *Histogram, values []float64, bounds []float
 	}
 }
 
+// linearBuckets returns n bounds start, start+width, ....
+func linearBuckets(start, width float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
+}
+
 // TestHistogramQuantileProperty drives seeded random workloads with
 // several bucket layouts through the oracle comparison.
 func TestHistogramQuantileProperty(t *testing.T) {
@@ -75,7 +84,7 @@ func TestHistogramQuantileProperty(t *testing.T) {
 		name   string
 		bounds []float64
 	}{
-		{"linear", LinearBuckets(10, 10, 50)},
+		{"linear", linearBuckets(10, 10, 50)},
 		{"exp", ExpBuckets(1, 2, 16)},
 		{"single", []float64{100}},
 	}
@@ -152,7 +161,7 @@ func FuzzHistogramQuantile(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0.5)
 	f.Add([]byte{255, 0, 128}, 0.99)
 	f.Add([]byte{0}, 0.0)
-	bounds := LinearBuckets(8, 8, 32)
+	bounds := linearBuckets(8, 8, 32)
 	last := bounds[len(bounds)-1]
 	f.Fuzz(func(t *testing.T, data []byte, q float64) {
 		if len(data) == 0 {

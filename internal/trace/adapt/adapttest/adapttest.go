@@ -89,9 +89,6 @@ func Run(t *testing.T, mk Factory) {
 		if a.Class() != b.Class() {
 			t.Fatalf("class differs between instances: %v vs %v", a.Class(), b.Class())
 		}
-		if got := trace.SourceClass(a); got != a.Class() {
-			t.Fatalf("trace.SourceClass = %v, want declared %v", got, a.Class())
-		}
 	})
 
 	t.Run("valid-stream", func(t *testing.T) {

@@ -30,6 +30,10 @@ import (
 
 var magic = [4]byte{'B', 'S', 'D', 'T'}
 
+// HeaderLen is the length of the binary header: the 4-byte magic plus
+// the version byte. A version-1 trace is HeaderLen bytes plus its records.
+const HeaderLen = 5
+
 // Version is the original binary format version, still the default for
 // every writer: the golden report path depends on byte-identical v1
 // output.
@@ -47,7 +51,7 @@ type Writer struct {
 	w     *bufio.Writer
 	prev  Time
 	count int64
-	buf   [binary.MaxVarintLen64]byte
+	buf   []byte // the record or checkpoint being written, reused
 	begun bool
 	err   error
 
@@ -100,16 +104,6 @@ func (w *Writer) recordBytes(p []byte) {
 	}
 }
 
-func (w *Writer) varint(x int64) {
-	n := binary.PutVarint(w.buf[:], x)
-	w.recordBytes(w.buf[:n])
-}
-
-func (w *Writer) uvarint(x uint64) {
-	n := binary.PutUvarint(w.buf[:], x)
-	w.recordBytes(w.buf[:n])
-}
-
 func (w *Writer) header() error {
 	if w.begun || w.err != nil {
 		return w.err
@@ -131,6 +125,45 @@ func (w *Writer) header() error {
 	return nil
 }
 
+// AppendRecord appends e's binary record to dst, its time delta-encoded
+// against prev, the time of the record before it. This is the record
+// layout, written in one place: the Writer encodes through it, and a
+// version-1 trace's size is HeaderLen plus the lengths of its records.
+// An event of an invalid kind has no record: dst comes back unchanged
+// with an error.
+func AppendRecord(dst []byte, prev Time, e Event) ([]byte, error) {
+	if !e.Kind.Valid() {
+		return dst, fmt.Errorf("trace: cannot encode event of kind %v", e.Kind)
+	}
+	dst = append(dst, byte(e.Kind))
+	dst = binary.AppendVarint(dst, int64(e.Time-prev))
+	switch e.Kind {
+	case KindCreate, KindOpen:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendUvarint(dst, uint64(e.User))
+		dst = binary.AppendUvarint(dst, uint64(e.Mode))
+		dst = binary.AppendVarint(dst, e.Size)
+	case KindClose:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendVarint(dst, e.NewPos)
+	case KindSeek:
+		dst = binary.AppendUvarint(dst, uint64(e.OpenID))
+		dst = binary.AppendVarint(dst, e.OldPos)
+		dst = binary.AppendVarint(dst, e.NewPos)
+	case KindUnlink:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+	case KindTruncate:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendVarint(dst, e.Size)
+	case KindExec:
+		dst = binary.AppendUvarint(dst, uint64(e.File))
+		dst = binary.AppendUvarint(dst, uint64(e.User))
+		dst = binary.AppendVarint(dst, e.Size)
+	}
+	return dst, nil
+}
+
 // Write encodes one event. Events should be presented in non-decreasing
 // time order; out-of-order events are still encoded correctly (the time
 // delta is signed) but most consumers require ordered streams.
@@ -138,39 +171,16 @@ func (w *Writer) Write(e Event) error {
 	if w.err != nil {
 		return w.err
 	}
-	if !e.Kind.Valid() {
-		return fmt.Errorf("trace: cannot encode event of kind %v", e.Kind)
+	rec, err := AppendRecord(w.buf[:0], w.prev, e)
+	if err != nil {
+		return err
 	}
+	w.buf = rec
 	if err := w.header(); err != nil {
 		return err
 	}
-	w.recordBytes([]byte{byte(e.Kind)})
-	w.varint(int64(e.Time - w.prev))
+	w.recordBytes(rec)
 	w.prev = e.Time
-	switch e.Kind {
-	case KindCreate, KindOpen:
-		w.uvarint(uint64(e.OpenID))
-		w.uvarint(uint64(e.File))
-		w.uvarint(uint64(e.User))
-		w.uvarint(uint64(e.Mode))
-		w.varint(e.Size)
-	case KindClose:
-		w.uvarint(uint64(e.OpenID))
-		w.varint(e.NewPos)
-	case KindSeek:
-		w.uvarint(uint64(e.OpenID))
-		w.varint(e.OldPos)
-		w.varint(e.NewPos)
-	case KindUnlink:
-		w.uvarint(uint64(e.File))
-	case KindTruncate:
-		w.uvarint(uint64(e.File))
-		w.varint(e.Size)
-	case KindExec:
-		w.uvarint(uint64(e.File))
-		w.uvarint(uint64(e.User))
-		w.varint(e.Size)
-	}
 	if w.err == nil {
 		w.count++
 		if w.version == Version2 {
@@ -297,7 +307,7 @@ func (p *posReader) ReadByte() (byte, error) {
 // 1 and version 2 streams are both accepted.
 func NewReader(r io.Reader) (*Reader, error) {
 	p := &posReader{br: bufio.NewReaderSize(r, 1<<16)}
-	var hdr [5]byte
+	var hdr [HeaderLen]byte
 	for i := range hdr {
 		b, err := p.ReadByte()
 		if err != nil {

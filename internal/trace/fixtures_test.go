@@ -99,7 +99,7 @@ func TestCorruptFixtureCorpus(t *testing.T) {
 			}
 			got = append(got, e)
 		}
-		repaired, st := Recover(got)
+		repaired, st := recoverSlice(got)
 		if st.Emitted != st.Events-st.Dropped+st.Synthesized {
 			t.Errorf("%s: accounting identity broken: %+v", name, st)
 		}

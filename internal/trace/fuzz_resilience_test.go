@@ -43,7 +43,7 @@ func FuzzRecoverSource(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{255, 0, 1, 7, 0, 2, 1, 0, 1}, 3))      // time runs backward, id reuse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzEvents(data)
-		out, st := Recover(in)
+		out, st := recoverSlice(in)
 		if st.Events != int64(len(in)) || st.Emitted != int64(len(out)) {
 			t.Fatalf("stats disagree with slices: %+v for %d in, %d out", st, len(in), len(out))
 		}

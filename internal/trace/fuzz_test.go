@@ -48,11 +48,9 @@ func FuzzParseEvent(f *testing.F) {
 	})
 }
 
-// FuzzReaderNext feeds arbitrary bytes to the binary decoder: Next must
-// never panic, and any stream it fully accepts must survive a
-// re-encode/re-decode round trip. The corpus seeds a valid stream, a
-// bare header, and truncations/corruptions of the valid stream.
-func FuzzReaderNext(f *testing.F) {
+// readerNextSeeds is FuzzReaderNext's seed corpus: a valid trace, its
+// header alone, a truncation, a corruption, and two non-traces.
+func readerNextSeeds(tb testing.TB) [][]byte {
 	events := []Event{
 		{Time: 10, Kind: KindCreate, OpenID: 1, File: 7, User: 3, Mode: WriteOnly},
 		{Time: 20, Kind: KindSeek, OpenID: 1, OldPos: 0, NewPos: 4096},
@@ -67,20 +65,32 @@ func FuzzReaderNext(f *testing.F) {
 	w := NewWriter(&valid)
 	for _, e := range events {
 		if err := w.Write(e); err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:5])                    // header only: a valid empty trace
-	f.Add(valid.Bytes()[:len(valid.Bytes())-3]) // truncated mid-record
 	corrupt := append([]byte(nil), valid.Bytes()...)
 	corrupt[7] ^= 0xff
-	f.Add(corrupt)
-	f.Add([]byte("BSDT"))
-	f.Add([]byte("not a trace at all"))
+	return [][]byte{
+		valid.Bytes(),
+		valid.Bytes()[:5],                    // header only: a valid empty trace
+		valid.Bytes()[:len(valid.Bytes())-3], // truncated mid-record
+		corrupt,
+		[]byte("BSDT"),
+		[]byte("not a trace at all"),
+	}
+}
+
+// FuzzReaderNext feeds arbitrary bytes to the binary decoder: Next must
+// never panic, and any stream it fully accepts must survive a
+// re-encode/re-decode round trip. The corpus seeds a valid stream, a
+// bare header, and truncations/corruptions of the valid stream.
+func FuzzReaderNext(f *testing.F) {
+	for _, seed := range readerNextSeeds(f) {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))

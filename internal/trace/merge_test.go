@@ -136,7 +136,14 @@ func TestWindow(t *testing.T) {
 		{Time: 180, Kind: KindClose, OpenID: 2, NewPos: 50},
 		{Time: 250, Kind: KindUnlink, File: 2},
 	}
-	got := Window(events, 100, 200)
+	window := func(from, to Time) []Event {
+		out, err := ReadSource(WindowSource(NewSliceSource(events), from, to))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got := window(100, 200)
 	// The dangling seek/close of open 1 are dropped; open 2's pair stays
 	// and is rebased.
 	want := []Event{
@@ -147,12 +154,12 @@ func TestWindow(t *testing.T) {
 		t.Fatalf("Window = %+v, want %+v", got, want)
 	}
 	// A window keeps standalone events.
-	got = Window(events, 200, 300)
+	got = window(200, 300)
 	if len(got) != 1 || got[0].Kind != KindUnlink || got[0].Time != 50 {
 		t.Fatalf("unlink window = %+v", got)
 	}
 	// Degenerate windows are empty.
-	if Window(events, 100, 100) != nil || Window(events, 200, 100) != nil {
+	if len(window(100, 100)) != 0 || len(window(200, 100)) != 0 {
 		t.Errorf("degenerate window not empty")
 	}
 }
@@ -160,7 +167,10 @@ func TestWindow(t *testing.T) {
 func TestWindowedTraceValidates(t *testing.T) {
 	full := randomValidTrace(4)
 	mid := full[len(full)/2].Time
-	win := Window(full, mid, mid+10_000)
+	win, err := ReadSource(WindowSource(NewSliceSource(full), mid, mid+10_000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	errs, _ := Validate(win)
 	for _, err := range errs {
 		t.Errorf("validator: %v", err)

@@ -308,15 +308,3 @@ func (r *RecoverSource) repair(e Event) (_ Event, emit bool, synth *Event) {
 	r.started = true
 	return e, true, synth
 }
-
-// Recover repairs a whole in-memory trace, returning the repaired events
-// and the budget.
-func Recover(events []Event) ([]Event, RepairStats) {
-	r := NewRecoverSource(NewSliceSource(events))
-	out, err := ReadSource(r)
-	if err != nil {
-		// A SliceSource never fails.
-		panic(err)
-	}
-	return out, r.Stats()
-}

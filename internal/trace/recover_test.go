@@ -30,7 +30,7 @@ func TestRecoverCleanNoOp(t *testing.T) {
 	if errs, _ := Validate(in); len(errs) != 0 {
 		t.Fatalf("test fixture is not clean: %v", errs)
 	}
-	out, stats := Recover(in)
+	out, stats := recoverSlice(in)
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("clean trace changed:\n in: %v\nout: %v", in, out)
 	}
@@ -48,7 +48,7 @@ func TestRecoverCleanNoOp(t *testing.T) {
 func TestRecoverAccountingIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		in := randomTrace(seed, 2000)
-		out, stats := Recover(in)
+		out, stats := recoverSlice(in)
 		if stats.Emitted != stats.Events-stats.Dropped+stats.Synthesized {
 			t.Fatalf("seed %d: accounting identity broken: %+v", seed, stats)
 		}
@@ -62,9 +62,19 @@ func TestRecoverAccountingIdentity(t *testing.T) {
 	}
 }
 
+// recoverSlice repairs an in-memory trace through a RecoverSource.
+func recoverSlice(events []Event) ([]Event, RepairStats) {
+	r := NewRecoverSource(NewSliceSource(events))
+	out, err := ReadSource(r)
+	if err != nil {
+		panic(err) // a SliceSource never fails
+	}
+	return out, r.Stats()
+}
+
 func recoverOne(t *testing.T, in []Event) ([]Event, RepairStats) {
 	t.Helper()
-	out, stats := Recover(in)
+	out, stats := recoverSlice(in)
 	if errs, _ := Validate(out); len(errs) != 0 {
 		t.Fatalf("repaired trace fails validation: %v", errs[0])
 	}

@@ -41,7 +41,7 @@ func (s *SliceSource) Next() (Event, error) {
 }
 
 // ReadSource drains a Source into memory. It is the streaming analogue of
-// Reader.ReadAll; tests and the in-memory Merge use it.
+// Reader.ReadAll, for tests and small traces.
 func ReadSource(src Source) ([]Event, error) {
 	var out []Event
 	buf := GetBatch()
@@ -58,40 +58,22 @@ func ReadSource(src Source) ([]Event, error) {
 	}
 }
 
-// CopySource writes every event of src to w and returns the number of
-// events copied. It is the constant-memory pipe from any Source to a
-// binary trace file.
-func CopySource(w *Writer, src Source) (int64, error) {
-	var n int64
-	buf := GetBatch()
-	defer PutBatch(buf)
-	for {
-		k, err := ReadBatch(src, buf)
-		if k == 0 {
-			if err == io.EOF {
-				return n, nil
-			}
-			return n, err
-		}
-		for _, e := range buf[:k] {
-			if err := w.Write(e); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-}
-
 // FuncSource adapts a Next-shaped function to a Source.
 type FuncSource func() (Event, error)
 
 // Next calls the function.
 func (f FuncSource) Next() (Event, error) { return f() }
 
-// WindowSource yields the sub-trace of src in [from, to), applying the
-// same fix-ups as Window: seeks and closes whose open fell before the
-// window are dropped, and times are rebased so the window starts at zero.
-// It holds only the set of opens seen inside the window, not the events.
+// WindowSource yields the sub-trace of src in [from, to), fixing up the
+// dangling references that cutting a live stream creates: seeks and
+// closes whose open fell before the window are dropped (their open ids
+// are unknown inside the window, exactly as if the tracer had started at
+// that moment), and times are rebased so the window starts at zero. It
+// holds only the set of opens seen inside the window, not the events.
+//
+// Windowing is how peak-hour analyses are carved from long traces; the
+// paper's measurements distinguish "the busiest part of the work week"
+// from whole-trace averages the same way.
 func WindowSource(src Source, from, to Time) Source {
 	open := make(map[OpenID]bool)
 	return FuncSource(func() (Event, error) {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"io"
 	"reflect"
 	"testing"
@@ -16,36 +15,6 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Fatalf("ReadSource(SliceSource) changed the events")
-	}
-}
-
-// TestCopySource: piping a source through a writer yields the same binary
-// stream as writing the slice directly.
-func TestCopySource(t *testing.T) {
-	events := randomValidTrace(6)
-	var direct, piped bytes.Buffer
-	w := NewWriter(&direct)
-	for _, e := range events {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	w2 := NewWriter(&piped)
-	n, err := CopySource(w2, NewSliceSource(events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(events)) {
-		t.Fatalf("copied %d events, want %d", n, len(events))
-	}
-	if !bytes.Equal(direct.Bytes(), piped.Bytes()) {
-		t.Fatalf("CopySource bytes differ from direct writes")
 	}
 }
 
@@ -106,22 +75,6 @@ func TestMergeSourceConstantAllocs(t *testing.T) {
 	})
 	if avg > 0.01 {
 		t.Errorf("merge allocates %.2f allocs/event after priming, want 0", avg)
-	}
-}
-
-// TestWindowSourceMatchesWindow: the streaming window and the in-memory
-// Window are the same function (Window is implemented on WindowSource, so
-// this pins the wiring).
-func TestWindowSourceMatchesWindow(t *testing.T) {
-	full := randomValidTrace(9)
-	mid := full[len(full)/2].Time
-	want := Window(full, mid, mid+10_000)
-	got, err := ReadSource(WindowSource(NewSliceSource(full), mid, mid+10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("WindowSource diverges from Window")
 	}
 }
 

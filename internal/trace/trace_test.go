@@ -200,8 +200,8 @@ func TestWriteInvalidKind(t *testing.T) {
 func TestTextRoundTrip(t *testing.T) {
 	events := randomTrace(5, 200)
 	var buf bytes.Buffer
-	if err := WriteText(&buf, events); err != nil {
-		t.Fatal(err)
+	for _, e := range events {
+		buf.WriteString(e.String() + "\n")
 	}
 	got, err := ReadText(&buf)
 	if err != nil {

@@ -134,15 +134,6 @@ var profiles = map[string]Profile{
 	},
 }
 
-// Profiles returns the three machine profiles keyed by trace name.
-func Profiles() map[string]Profile {
-	out := make(map[string]Profile, len(profiles))
-	for k, v := range profiles {
-		out[k] = v
-	}
-	return out
-}
-
 // Result is a generated trace plus bookkeeping that tests and tools use.
 type Result struct {
 	// Events is the trace, in non-decreasing time order.

@@ -64,7 +64,7 @@ func TestUnknownProfile(t *testing.T) {
 }
 
 func TestAllProfilesGenerate(t *testing.T) {
-	for name, prof := range Profiles() {
+	for name, prof := range profiles {
 		res, err := Generate(Config{Profile: name, Seed: 11, Duration: 15 * trace.Minute})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

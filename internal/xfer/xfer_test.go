@@ -271,15 +271,26 @@ func TestScannerErrors(t *testing.T) {
 	}
 }
 
+// scan runs a complete trace through a scanner and returns the number
+// of unclosed opens discarded at the end.
+func scan(events []trace.Event, onTransfer func(Transfer)) (unclosed int, errs []error) {
+	s := NewScanner()
+	s.OnTransfer = onTransfer
+	for _, e := range events {
+		s.Feed(e)
+	}
+	return s.Finish(), s.Errs()
+}
+
 func TestScanHelper(t *testing.T) {
 	events := []trace.Event{
 		{Time: 0, Kind: trace.KindOpen, OpenID: 1, File: 3, Mode: trace.ReadOnly, Size: 100},
 		{Time: 5, Kind: trace.KindClose, OpenID: 1, NewPos: 100},
 	}
 	var n int
-	unclosed, errs := Scan(events, func(Transfer) { n++ }, nil, nil)
+	unclosed, errs := scan(events, func(Transfer) { n++ })
 	if unclosed != 0 || len(errs) != 0 || n != 1 {
-		t.Errorf("Scan = %d %v, n=%d", unclosed, errs, n)
+		t.Errorf("scan = %d %v, n=%d", unclosed, errs, n)
 	}
 }
 
@@ -318,13 +329,13 @@ func TestReconstructionMatchesKernel(t *testing.T) {
 	p.Close(fd)
 
 	var readBytes, writeBytes int64
-	unclosed, errs := Scan(events, func(x Transfer) {
+	unclosed, errs := scan(events, func(x Transfer) {
 		if x.Write {
 			writeBytes += x.Length
 		} else {
 			readBytes += x.Length
 		}
-	}, nil, nil)
+	})
 	if unclosed != 0 || len(errs) != 0 {
 		t.Fatalf("unclosed=%d errs=%v", unclosed, errs)
 	}
@@ -405,7 +416,7 @@ func TestReconstructionPropertyRandomOps(t *testing.T) {
 		// Reconstruct. Read-write opens have ambiguous direction, so
 		// compare the total; for RO/WO opens compare per direction.
 		var total, roBytes, woBytes int64
-		_, errs := Scan(events, func(x Transfer) {
+		_, errs := scan(events, func(x Transfer) {
 			total += x.Length
 			switch x.Mode {
 			case trace.ReadOnly:
@@ -413,7 +424,7 @@ func TestReconstructionPropertyRandomOps(t *testing.T) {
 			case trace.WriteOnly:
 				woBytes += x.Length
 			}
-		}, nil, nil)
+		})
 		if len(errs) != 0 {
 			return false
 		}

@@ -7,6 +7,7 @@ package bsdtrace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"runtime"
 	"sync"
@@ -74,7 +75,7 @@ func TestStreamingAnalysisEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := analyzer.AnalyzeReader(r, analyzer.Options{})
+	got, err := analyzer.AnalyzeSource(r, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +212,23 @@ func TestMergeMemoryGuard(t *testing.T) {
 		for i := range strands {
 			sources[i] = trace.NewSliceSource(strands[i])
 		}
-		if _, err := trace.CopySource(trace.NewWriter(discardWriter{}), trace.NewMergeSource(sources...)); err != nil {
-			t.Fatal(err)
+		src := trace.NewMergeSource(sources...)
+		w := trace.NewWriter(discardWriter{})
+		buf := trace.GetBatch()
+		defer trace.PutBatch(buf)
+		for {
+			k, err := trace.ReadBatch(src, buf)
+			if k == 0 {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return
+			}
+			for _, e := range buf[:k] {
+				if err := w.Write(e); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 	drain() // warm up
