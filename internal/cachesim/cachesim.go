@@ -202,13 +202,6 @@ func (r *Result) NeverWrittenFraction() float64 {
 	return float64(r.DirtyDiscarded) / float64(total)
 }
 
-// blockKey identifies one block of one file; the resolution maps these
-// to dense integer IDs, which is what the replay engine works in.
-type blockKey struct {
-	file trace.FileID
-	idx  int64
-}
-
 // block is one cache frame. The intrusive fields (prev/next/slot/
 // referenced) belong to the replacement policy. dirty holds one bit per
 // lane: bit i is set while the block is modified but unwritten under
@@ -444,7 +437,7 @@ func (c *cache) drop(b *block, writeBack bool) {
 // starts at or beyond size (size 0 purges the whole file), in ascending
 // block order. Dirty purged blocks are dead data and cost no disk write.
 func (c *cache) purge(fs int32, size int64) {
-	if c.cfg.NoPurge || fs < 0 {
+	if c.cfg.NoPurge {
 		return
 	}
 	ids := c.r.fileBlocks[fs]
@@ -558,12 +551,12 @@ func (c *cache) run() {
 		c.advance(op.Time)
 		switch op.Kind {
 		case xfer.OpPurge:
-			c.purge(c.r.opFile[i], op.Size)
+			c.purge(op.Ref, op.Size)
 		case xfer.OpTransfer:
-			c.transfer(op.Xfer)
+			c.transfer(op.Ref)
 		case xfer.OpExec:
 			if c.cfg.SimulatePaging {
-				c.transfer(op.Xfer)
+				c.transfer(op.Ref)
 			}
 		}
 	}
@@ -636,7 +629,7 @@ func CountTapeAccesses(tape *xfer.Tape, blockSize int64, simulatePaging bool) in
 	for i := range tape.Ops {
 		op := &tape.Ops[i]
 		if op.Kind == xfer.OpTransfer || (op.Kind == xfer.OpExec && simulatePaging) {
-			t := &tape.Transfers[op.Xfer]
+			t := &tape.Transfers[op.Ref]
 			if t.Length <= 0 {
 				// xfer.NewTape never emits an empty run (see the tape
 				// invariant test there), but the span arithmetic below

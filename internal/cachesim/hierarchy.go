@@ -221,12 +221,12 @@ func runClient(tape *xfer.Tape, r *resolved, cfg Config, blockBase, fileBase int
 		c.advance(op.Time)
 		switch op.Kind {
 		case xfer.OpPurge:
-			c.purge(r.opFile[i], op.Size)
-			if fs := r.opFile[i]; fs >= 0 {
-				p.ops = append(p.ops, serverOp{time: op.Time, kind: opPurge, fs: fileBase + fs, size: op.Size})
+			c.purge(op.Ref, op.Size)
+			if len(r.fileBlocks[op.Ref]) > 0 {
+				p.ops = append(p.ops, serverOp{time: op.Time, kind: opPurge, fs: fileBase + op.Ref, size: op.Size})
 			}
 		case xfer.OpTransfer:
-			c.transfer(op.Xfer)
+			c.transfer(op.Ref)
 		}
 	}
 	p.res = c.finish()[0]
@@ -318,15 +318,16 @@ func replayTierOps(ops []serverOp, r *resolved, cfg Config,
 // broken in machine order, then emission order), so results are
 // deterministic regardless of scheduling.
 func HierarchySimulateTapes(tapes []*xfer.Tape, cfg HierarchyConfig) (*HierarchyResult, error) {
-	return simulateHierarchy(tapes, cfg, nil)
+	return simulateHierarchy(tapes, cfg, nil, true)
 }
 
 // simulateHierarchy is HierarchySimulateTapes with onStore, if non-nil,
 // observing every backing-store I/O as it happens: the block in the
 // global ID space, the direction, and the simulated time. Flush-back
 // write-backs carry their exact flush-boundary times (see
-// cache.flushDue).
-func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id int32, write bool, t trace.Time)) (*HierarchyResult, error) {
+// cache.flushDue). Per-block wear is counted only when wear is set;
+// otherwise every tier's wear fields stay zero.
+func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id int32, write bool, t trace.Time), wear bool) (*HierarchyResult, error) {
 	if len(tapes) == 0 {
 		return nil, fmt.Errorf("cachesim: hierarchy simulation needs at least one machine")
 	}
@@ -379,11 +380,21 @@ func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id 
 	// arrives.
 	last := len(cfg.Tiers) - 1
 	store := &res.Tiers[last]
-	storeWear := make([]int64, nBlocks)
+	// newWear returns a per-block media-write count, or nil (counting
+	// nothing) when the caller does not read wear.
+	newWear := func() []int64 {
+		if !wear {
+			return nil
+		}
+		return make([]int64, nBlocks)
+	}
+	storeWear := newWear()
 	toStore := func(id int32, write bool, t trace.Time) {
 		if write {
 			store.Writes++
-			storeWear[id]++
+			if storeWear != nil {
+				storeWear[id]++
+			}
 		} else {
 			store.Reads++
 		}
@@ -403,10 +414,12 @@ func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id 
 		tier := cfg.Tiers[i]
 		tr := &res.Tiers[i]
 		tr.Name, tr.Size = tier.Name, tier.Size
-		wear := make([]int64, nBlocks)
-		for j := range ops {
-			if ops[j].kind == opWrite {
-				wear[ops[j].id]++
+		tierWear := newWear()
+		if tierWear != nil {
+			for j := range ops {
+				if ops[j].kind == opWrite {
+					tierWear[ops[j].id]++
+				}
 			}
 		}
 		var next []serverOp
@@ -426,10 +439,10 @@ func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id 
 		}
 		out := replayTierOps(ops, merged, tierCfgs[i],
 			func(id int32, write bool, t trace.Time) {
-				if !write {
+				if !write && tierWear != nil {
 					// A fetch from below fills a block into this tier:
 					// one media write here, one read below.
-					wear[id]++
+					tierWear[id]++
 				}
 				below(id, write, t)
 			}, onPurge)
@@ -438,7 +451,7 @@ func simulateHierarchy(tapes []*xfer.Tape, cfg HierarchyConfig, onStore func(id 
 		tr.Fills = out.DiskReads
 		tr.BusyTime = tier.ReadLatency*trace.Time(tr.Reads) +
 			tier.WriteLatency*trace.Time(tr.Writes+tr.Fills)
-		tallyWear(tr, wear, tier.EnduranceWrites)
+		tallyWear(tr, tierWear, tier.EnduranceWrites)
 		// A tier's clock never runs backward over time-ordered input,
 		// so its traffic below is already in time order
 		// (TestTierStreamsTimeOrdered).

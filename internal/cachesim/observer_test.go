@@ -193,7 +193,7 @@ func TestTwoLevelServerWritesOnFlushBoundaries(t *testing.T) {
 		if write {
 			writes = append(writes, tm)
 		}
-	}); err != nil {
+	}, false); err != nil {
 		t.Fatal(err)
 	}
 	res, err := TwoLevelSimulateTapes(tapes, cfg)

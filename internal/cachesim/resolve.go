@@ -3,7 +3,6 @@ package cachesim
 import (
 	"sort"
 
-	"bsdtrace/internal/trace"
 	"bsdtrace/internal/xfer"
 )
 
@@ -16,79 +15,126 @@ import (
 // configuration at that size (see Tape.Memo).
 type resolved struct {
 	blockSize int64
-	// blockIdx and blockFile describe each dense block ID: the block
-	// index within its file and the file's dense slot.
-	blockIdx  []int64
-	blockFile []int32
+	// blockIdx is each dense block ID's block index within its file.
+	blockIdx []int64
 	// accessIDs[accessOff[i]:accessOff[i+1]] are the block IDs touched
 	// by tape transfer i, in access order.
 	accessOff []int64
 	accessIDs []int32
-	// fileBlocks lists each file slot's block IDs sorted ascending by
-	// block index, so a purge scans only the doomed suffix — in a
-	// deterministic order, unlike a map walk.
+	// fileBlocks lists each tape file slot's block IDs sorted ascending
+	// by block index, so a purge (whose op names the slot) scans only
+	// the doomed suffix — in a deterministic order, unlike a map walk.
+	// A slot no transfer touched has none, and purging it is a no-op.
 	fileBlocks [][]int32
-	// opFile is parallel to the tape's ops: the file slot of an OpPurge,
-	// or -1 when the purged file has no blocks on the tape at all (then
-	// the purge cannot touch any cache).
-	opFile []int32
 }
 
 // nBlocks returns the number of distinct blocks the tape references.
 func (r *resolved) nBlocks() int { return len(r.blockIdx) }
 
 // resolveTape computes the dense block-level view of a tape at one block
-// size. blockSize must be positive.
+// size. blockSize must be positive. IDs are numbered in first-access
+// order. A file slot whose extent (in blocks) is at most twice its
+// block accesses plus 16 looks its blocks up in one flat table indexed
+// by slot base + block index, so the table costs at most two entries
+// per access plus 16 per file. A sparser slot — a foreign block trace's
+// volume spanning a whole disk, say — falls back to a map of its own,
+// so memory follows the blocks touched, never the largest offset.
 func resolveTape(t *xfer.Tape, blockSize int64) *resolved {
-	// The flattened access count is pure arithmetic over the transfers, so
-	// accessIDs can be sized exactly up front.
+	// The flattened access count is pure arithmetic over the transfers,
+	// so accessIDs can be sized exactly up front; per slot, the same
+	// count bounds the blocks it can touch. A negative offset (only a
+	// malformed trace has one) cannot index a table: -1 marks the slot
+	// sparse.
+	nSlots := len(t.Files)
+	accesses := make([]int64, nSlots)
 	var nAccess int64
 	for i := range t.Transfers {
 		tr := &t.Transfers[i]
-		nAccess += (tr.End()-1)/blockSize - tr.Offset/blockSize + 1
+		n := (tr.End()-1)/blockSize - tr.Offset/blockSize + 1
+		nAccess += n
+		if s := t.Slots[i]; tr.Offset < 0 {
+			accesses[s] = -1
+		} else if accesses[s] >= 0 {
+			accesses[s] += n
+		}
 	}
+	// base[s] is slot s's offset into the flat table, or -1 for a slot
+	// resolved through sparse[s].
+	extent := func(s int) int64 { return (t.Extents[s] + blockSize - 1) / blockSize }
+	base := make([]int64, nSlots)
+	var tableLen int64
+	var sparse []map[int64]int32
+	for s, acc := range accesses {
+		if n := extent(s); acc >= 0 && n <= 2*acc+16 {
+			base[s] = tableLen
+			tableLen += n
+			continue
+		}
+		base[s] = -1
+		if sparse == nil {
+			sparse = make([]map[int64]int32, nSlots)
+		}
+		sparse[s] = make(map[int64]int32)
+	}
+	// table holds ID+1, so its zero value means "not seen yet".
+	table := make([]int32, tableLen)
 	r := &resolved{
 		blockSize: blockSize,
 		accessOff: make([]int64, len(t.Transfers)+1),
 		accessIDs: make([]int32, 0, nAccess),
 	}
-	ids := make(map[blockKey]int32)
-	fileSlots := make(map[trace.FileID]int32)
+	newID := func(idx int64) int32 {
+		r.blockIdx = append(r.blockIdx, idx)
+		return int32(len(r.blockIdx) - 1)
+	}
 	for i := range t.Transfers {
 		tr := &t.Transfers[i]
+		s := t.Slots[i]
 		first := tr.Offset / blockSize
 		last := (tr.End() - 1) / blockSize
-		for idx := first; idx <= last; idx++ {
-			key := blockKey{file: tr.File, idx: idx}
-			id, ok := ids[key]
-			if !ok {
-				fs, ok := fileSlots[tr.File]
-				if !ok {
-					fs = int32(len(r.fileBlocks))
-					fileSlots[tr.File] = fs
-					r.fileBlocks = append(r.fileBlocks, nil)
+		if b := base[s]; b >= 0 {
+			row := table[b+first : b+last+1]
+			for k, v := range row {
+				if v == 0 {
+					v = newID(first+int64(k)) + 1
+					row[k] = v
 				}
-				id = int32(len(r.blockIdx))
-				ids[key] = id
-				r.blockIdx = append(r.blockIdx, idx)
-				r.blockFile = append(r.blockFile, fs)
-				r.fileBlocks[fs] = append(r.fileBlocks[fs], id)
+				r.accessIDs = append(r.accessIDs, v-1)
 			}
-			r.accessIDs = append(r.accessIDs, id)
+		} else {
+			m := sparse[s]
+			for idx := first; idx <= last; idx++ {
+				id, ok := m[idx]
+				if !ok {
+					id = newID(idx)
+					m[idx] = id
+				}
+				r.accessIDs = append(r.accessIDs, id)
+			}
 		}
 		r.accessOff[i+1] = int64(len(r.accessIDs))
 	}
-	for _, fb := range r.fileBlocks {
-		sort.Slice(fb, func(a, b int) bool { return r.blockIdx[fb[a]] < r.blockIdx[fb[b]] })
-	}
-	r.opFile = make([]int32, len(t.Ops))
-	for i := range t.Ops {
-		r.opFile[i] = -1
-		if t.Ops[i].Kind == xfer.OpPurge {
-			if fs, ok := fileSlots[t.Ops[i].File]; ok {
-				r.opFile[i] = fs
+	// Carve every slot's sorted ID list out of one array: a table walk
+	// yields a dense slot's IDs in block order already; a sparse slot's
+	// are sorted.
+	all := make([]int32, 0, len(r.blockIdx))
+	r.fileBlocks = make([][]int32, nSlots)
+	for s := range r.fileBlocks {
+		lo := len(all)
+		if b := base[s]; b >= 0 {
+			for _, v := range table[b : b+extent(s)] {
+				if v != 0 {
+					all = append(all, v-1)
+				}
 			}
+		} else {
+			for _, id := range sparse[s] {
+				all = append(all, id)
+			}
+			fb := all[lo:]
+			sort.Slice(fb, func(i, j int) bool { return r.blockIdx[fb[i]] < r.blockIdx[fb[j]] })
 		}
+		r.fileBlocks[s] = all[lo:len(all):len(all)]
 	}
 	return r
 }

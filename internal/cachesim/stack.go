@@ -110,7 +110,7 @@ func referenceString(tape *xfer.Tape, r *resolved) []int32 {
 	for i := range tape.Ops {
 		op := &tape.Ops[i]
 		if op.Kind == xfer.OpTransfer {
-			refs = append(refs, r.accessIDs[r.accessOff[op.Xfer]:r.accessOff[op.Xfer+1]]...)
+			refs = append(refs, r.accessIDs[r.accessOff[op.Ref]:r.accessOff[op.Ref+1]]...)
 		}
 	}
 	return refs

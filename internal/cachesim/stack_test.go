@@ -79,15 +79,14 @@ func TestStackCurveMonotone(t *testing.T) {
 // refLRU is an oracle: a direct LRU simulation over the same block
 // reference string, counting reference misses.
 func refLRU(events []trace.Event, blockSize int64, capBlocks int) (misses, refs int64) {
-	type key = blockKey
-	pos := make(map[key]int)
-	var stack []key
+	pos := make(map[fileBlock]int)
+	var stack []fileBlock
 	sc := xfer.NewScanner()
 	sc.OnTransfer = func(t xfer.Transfer) {
 		first := t.Offset / blockSize
 		last := (t.End() - 1) / blockSize
 		for idx := first; idx <= last; idx++ {
-			k := key{file: t.File, idx: idx}
+			k := fileBlock{file: t.File, idx: idx}
 			refs++
 			if at, ok := pos[k]; ok {
 				stack = append(stack[:at], stack[at+1:]...)
@@ -116,7 +115,7 @@ func refLRU(events []trace.Event, blockSize int64, capBlocks int) (misses, refs 
 	return misses, refs
 }
 
-func containsKey(m map[blockKey]int, k blockKey) bool {
+func containsKey(m map[fileBlock]int, k fileBlock) bool {
 	_, ok := m[k]
 	return ok
 }

@@ -180,7 +180,7 @@ func TestStackOracleAgainstLRUCache(t *testing.T) {
 		for i := range tape.Ops {
 			op := &tape.Ops[i]
 			if op.Kind == xfer.OpTransfer {
-				refs = append(refs, r.accessIDs[r.accessOff[op.Xfer]:r.accessOff[op.Xfer+1]]...)
+				refs = append(refs, r.accessIDs[r.accessOff[op.Ref]:r.accessOff[op.Ref+1]]...)
 			}
 		}
 		for _, capBlocks := range []int{1, 2, 7, 64, 1024} {

@@ -83,9 +83,9 @@ func (cfg TwoLevelConfig) hierarchy() HierarchyConfig {
 // TwoLevelSimulateTapes runs one tape per machine through a local
 // write-through client cache and forwards the resulting traffic to a
 // shared server cache, as HierarchySimulateTapes does for the
-// [client, server, disk] stack.
+// [client, server, disk] stack. No wear is reported, so none is counted.
 func TwoLevelSimulateTapes(tapes []*xfer.Tape, cfg TwoLevelConfig) (*TwoLevelResult, error) {
-	h, err := HierarchySimulateTapes(tapes, cfg.hierarchy())
+	h, err := simulateHierarchy(tapes, cfg.hierarchy(), nil, false)
 	if err != nil {
 		return nil, err
 	}

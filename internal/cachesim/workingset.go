@@ -59,8 +59,8 @@ func WorkingSetTape(tape *xfer.Tape, blockSize int64, windows []trace.Time) ([]W
 		if op.Kind != xfer.OpTransfer {
 			continue
 		}
-		t := tape.Transfers[op.Xfer].Time
-		for _, id := range r.accessIDs[r.accessOff[op.Xfer]:r.accessOff[op.Xfer+1]] {
+		t := tape.Transfers[op.Ref].Time
+		for _, id := range r.accessIDs[r.accessOff[op.Ref]:r.accessOff[op.Ref+1]] {
 			refs = append(refs, ref{t: t, id: id})
 		}
 	}

@@ -93,6 +93,50 @@ func TestV2EmptyTrace(t *testing.T) {
 	}
 }
 
+// TestV2DecodeAllocsMatchV1: the segment CRC runs over every byte a v2
+// reader consumes, and must not allocate per byte. Decoding a v2 stream
+// may cost only a small constant over decoding the same events in v1:
+// the segment buffer grows by doubling up to one checkpoint interval's
+// records and is reused after that, so the extra is independent of the
+// trace's length. The trace spans several segments.
+func TestV2DecodeAllocsMatchV1(t *testing.T) {
+	events := randomTrace(5, 20000)
+	var v1 bytes.Buffer
+	w := NewWriter(&v1)
+	for _, e := range events {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v2 := encodeV2(t, events, 0)
+	decodeAllocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for {
+				if _, err := r.Next(); err != nil {
+					break
+				}
+				n++
+			}
+			if n != len(events) {
+				t.Fatalf("decoded %d events, want %d", n, len(events))
+			}
+		})
+	}
+	a1, a2 := decodeAllocs(v1.Bytes()), decodeAllocs(v2)
+	if a2 > a1+32 {
+		t.Errorf("v2 decode of %d bytes: %.0f allocs, v1 of %d bytes: %.0f; want at most v1 + 32",
+			len(v2), a2, v1.Len(), a1)
+	}
+}
+
 // TestV2DoubleFlush: a Flush right after an interval checkpoint must not
 // confuse the reader.
 func TestV2DoubleFlush(t *testing.T) {

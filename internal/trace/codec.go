@@ -298,7 +298,10 @@ func (p *posReader) ReadByte() (byte, error) {
 	}
 	p.off++
 	if p.crcOn {
-		p.crc = crc32.Update(p.crc, crc32.IEEETable, []byte{b})
+		// crc32.Update's one-byte step, inlined: a []byte{b} argument
+		// would escape and cost an allocation per byte.
+		c := ^p.crc
+		p.crc = ^(crc32.IEEETable[byte(c)^b] ^ c>>8)
 	}
 	return b, nil
 }

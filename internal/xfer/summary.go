@@ -72,13 +72,13 @@ func Summarize(t *Tape) Summary {
 	if n := len(t.Ops); n > 0 {
 		s.Duration = t.Ops[n-1].Time
 	}
-	files := make(map[trace.FileID]bool)
+	seen := make([]bool, len(t.Files))
 	for _, op := range t.Ops {
 		switch op.Kind {
 		case OpPurge:
 			s.Purges++
 		case OpTransfer, OpExec:
-			tr := t.Transfers[op.Xfer]
+			tr := t.Transfers[op.Ref]
 			if op.Kind == OpExec {
 				s.Execs++
 			}
@@ -92,9 +92,11 @@ func Summarize(t *Tape) Summary {
 			if tr.Length > s.MaxRequest {
 				s.MaxRequest = tr.Length
 			}
-			files[tr.File] = true
+			if f := t.Slots[op.Ref]; !seen[f] {
+				seen[f] = true
+				s.Files++
+			}
 		}
 	}
-	s.Files = int64(len(files))
 	return s
 }

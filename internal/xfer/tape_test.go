@@ -1,8 +1,10 @@
 package xfer
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"bsdtrace/internal/trace"
 )
@@ -91,6 +93,80 @@ func TestTapeMatchesScanner(t *testing.T) {
 	}
 }
 
+// TestTapeSpansChunks: a tape longer than the builder's largest chunk
+// comes out of Finish in one piece, in order — every transfer the
+// scanner emits, each op pointing at its own transfer.
+func TestTapeSpansChunks(t *testing.T) {
+	b := &tapeTB{}
+	for i := 0; i < maxChunk+maxChunk/2; i++ {
+		b.read(trace.FileID(i%97+1), int64(i%5000+1))
+	}
+	var want []Transfer
+	sc := NewScanner()
+	sc.OnTransfer = func(tr Transfer) { want = append(want, tr) }
+	for _, e := range b.events {
+		sc.Feed(e)
+	}
+	tape := mustTape(t, b.events)
+	if !reflect.DeepEqual(tape.Transfers, want) {
+		t.Fatalf("tape transfers differ from the scanner's (%d vs %d)", len(tape.Transfers), len(want))
+	}
+	if len(tape.Slots) != len(want) || len(tape.OldSizes) != len(want) {
+		t.Fatalf("%d slots, %d old sizes for %d transfers", len(tape.Slots), len(tape.OldSizes), len(want))
+	}
+	next := int32(0)
+	for i, op := range tape.Ops {
+		if op.Kind != OpTransfer {
+			continue
+		}
+		if op.Ref != next || tape.Transfers[op.Ref].Time != op.Time {
+			t.Fatalf("op %d replays transfer %d, want %d", i, op.Ref, next)
+		}
+		next++
+	}
+	if int(next) != len(want) {
+		t.Fatalf("%d transfer ops for %d transfers", next, len(want))
+	}
+}
+
+// TestTapeSlotTables: files get dense slots in first-appearance order
+// (an exec-only file and an unlinked never-opened one included), each
+// transfer and purge names its file's slot, and a slot's extent is the
+// largest byte end transferred.
+func TestTapeSlotTables(t *testing.T) {
+	b := &tapeTB{}
+	b.create(7, 10000)
+	b.events = append(b.events,
+		trace.Event{Time: b.tick(), Kind: trace.KindUnlink, File: 9},
+		trace.Event{Time: b.tick(), Kind: trace.KindExec, File: 5, User: 1, Size: 3000})
+	b.read(7, 4000)
+	b.events = append(b.events, trace.Event{Time: b.tick(), Kind: trace.KindTruncate, File: 7, Size: 100})
+	tape := mustTape(t, b.events)
+	if want := []trace.FileID{7, 9, 5}; !reflect.DeepEqual(tape.Files, want) {
+		t.Fatalf("Files = %v, want %v", tape.Files, want)
+	}
+	if want := []int64{10000, 0, 3000}; !reflect.DeepEqual(tape.Extents, want) {
+		t.Errorf("Extents = %v, want %v", tape.Extents, want)
+	}
+	for i, tr := range tape.Transfers {
+		if f := tape.Files[tape.Slots[i]]; f != tr.File {
+			t.Errorf("transfer %d of file %d in slot of file %d", i, tr.File, f)
+		}
+	}
+	var purged []trace.FileID
+	for _, op := range tape.Ops {
+		if op.Kind == OpPurge {
+			purged = append(purged, tape.Files[op.Ref])
+		}
+	}
+	if want := []trace.FileID{7, 9, 7}; !reflect.DeepEqual(purged, want) {
+		t.Errorf("purged files %v, want %v", purged, want)
+	}
+	if n := unsafe.Sizeof(Op{}); n != 24 {
+		t.Errorf("Op is %d bytes, want 24", n)
+	}
+}
+
 func TestTapeTimesNondecreasing(t *testing.T) {
 	b := &tapeTB{}
 	for f := trace.FileID(1); f <= 5; f++ {
@@ -170,12 +246,12 @@ func TestTapeExecSynthesis(t *testing.T) {
 		if op.Kind != OpExec {
 			continue
 		}
-		tr := tape.Transfers[op.Xfer]
+		tr := tape.Transfers[op.Ref]
 		if tr.File != 1 || tr.Offset != 0 || tr.Length != 8000 || tr.Write {
 			t.Errorf("exec transfer wrong: %+v", tr)
 		}
-		if tape.OldSizes[op.Xfer] != 8000 {
-			t.Errorf("exec OldSizes = %d, want 8000", tape.OldSizes[op.Xfer])
+		if tape.OldSizes[op.Ref] != 8000 {
+			t.Errorf("exec OldSizes = %d, want 8000", tape.OldSizes[op.Ref])
 		}
 	}
 }
